@@ -10,12 +10,10 @@ the same seed for comparison.
 """
 
 from admmo import (
+    OptimizerSpec,
     TunerParams,
     run_admmo,
-    run_ga,
-    run_mmo_fixed,
-    run_pmo,
-    run_rs,
+    run_optimizer,
     synthetic_landscape,
 )
 
@@ -42,14 +40,14 @@ print(f"best f_t: {run.best_f_t:.5f} after {run.measurements_used} measurements"
 # population draw; the ledger only charges distinct configurations).
 
 print("\noptimizer      best f_t   measurements")
-for name, runner in (
-    ("adaptive", run_admmo),
-    ("fixed w=1", run_mmo_fixed),
-    ("plain 2-obj", run_pmo),
-    ("genetic", run_ga),
-    ("random", run_rs),
+for name, spec in (
+    ("adaptive", OptimizerSpec("admmo")),
+    ("fixed w=1", OptimizerSpec("mmo_fixed", fixed_w=1.0)),
+    ("plain 2-obj", OptimizerSpec("pmo")),
+    ("genetic", OptimizerSpec("ga")),
+    ("random", OptimizerSpec("rs")),
 ):
-    result = runner(oracle.space, oracle, params, seed=1)
+    result = run_optimizer(spec, oracle.space, oracle, params, seed=1)
     print(f"{name:12s}  {result.best_f_t:.5f}   {result.measurements_used}")
 
 optimum = min(oracle.sample(c).f_t for c in oracle.space.enumerate_all())

@@ -15,11 +15,8 @@ __version__ = "0.1.0"
 from .baselines import (
     OptimizerSpec,
     run_ga,
-    run_mmo_fixed,
     run_optimizer,
-    run_pmo,
     run_rs,
-    run_variant,
 )
 from .harness import (
     BenchCase,
@@ -83,5 +80,3 @@ from .tuner import (
     unique_nondominated_proportion,
     update_stagnation,
 )
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,18 +1,22 @@
-"""Comparison optimizers and tuner ablation variants.
+"""Comparison optimizers, optimizer specs and the dispatch of one run.
 
-All optimizers share the measurement/budget contract and, where
-population-based, the same operators and initialization stream, so runs
-with equal seeds start from identical populations.
+Random search and the single-objective GA are runners of their own; the
+tuner, its ablation variants and the fixed-weight and plain baselines
+all run the shared evolutionary loop of ``tuner.evolve``. All optimizers
+share the measurement/budget contract and, where population-based, the
+same operators and initialization stream, so runs with equal seeds start
+from identical populations.
 """
 
 from __future__ import annotations
 
-import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .mmo import Individual
-from .nsga2 import boundary_mutation, uniform_crossover
+# re-exported: the GA's variation runs through tuner.breed, but callers and
+# tracers that look the operators up on this module still find them
+from .nsga2 import boundary_mutation, uniform_crossover  # noqa: F401
 from .oracles import BudgetLedger, MeasurementOracle, measure
 from .space import ConfigSpace
 from .tuner import (
@@ -21,13 +25,17 @@ from .tuner import (
     DUPLICATES_REMOVE_ALL,
     IterationRecord,
     MODEL_PLAIN,
-    MODEL_WEIGHTED,
     TRIGGER_CONSTANT,
     TRIGGER_OFF,
     TRIGGER_PROGRESSIVE,
     TunerParams,
     TuningRun,
+    breed,
     evolve,
+    finish_run,
+    generations,
+    seed_population,
+    update_stagnation,
 )
 
 KINDS = ("admmo", "mmo_fixed", "pmo", "rs", "ga")
@@ -71,74 +79,6 @@ class OptimizerSpec:
         return f"admmo_{suffix}" if suffix else "admmo"
 
 
-def run_mmo_fixed(
-    space: ConfigSpace,
-    oracle: MeasurementOracle,
-    params: TunerParams,
-    seed: int,
-    fixed_w: float = 1.0,
-    run_id: str | None = None,
-) -> TuningRun:
-    """Weighted meta-objectives with a frozen weight and plain survival."""
-    return evolve(
-        space,
-        oracle,
-        params,
-        seed,
-        model=MODEL_WEIGHTED,
-        duplicates_mode=DUPLICATES_INDISTINCT,
-        trigger_mode=TRIGGER_OFF,
-        fixed_weight=fixed_w,
-        optimizer_label="mmo_fixed",
-        run_id=run_id,
-    )
-
-
-def run_pmo(
-    space: ConfigSpace,
-    oracle: MeasurementOracle,
-    params: TunerParams,
-    seed: int,
-    run_id: str | None = None,
-) -> TuningRun:
-    """NSGA-II directly on the normalized (target, auxiliary) pair."""
-    return evolve(
-        space,
-        oracle,
-        params,
-        seed,
-        model=MODEL_PLAIN,
-        duplicates_mode=DUPLICATES_INDISTINCT,
-        trigger_mode=TRIGGER_OFF,
-        optimizer_label="pmo",
-        run_id=run_id,
-    )
-
-
-def run_variant(
-    spec: OptimizerSpec,
-    space: ConfigSpace,
-    oracle: MeasurementOracle,
-    params: TunerParams,
-    seed: int,
-    run_id: str | None = None,
-) -> TuningRun:
-    """The tuner with one flagged deviation (or none: identical to run_admmo)."""
-    if spec.kind != "admmo":
-        raise ValueError("run_variant only applies to admmo specs")
-    return evolve(
-        space,
-        oracle,
-        params,
-        seed,
-        model=MODEL_WEIGHTED,
-        duplicates_mode=spec.duplicates_mode,
-        trigger_mode=spec.trigger_mode,
-        optimizer_label=spec.label,
-        run_id=run_id,
-    )
-
-
 def run_rs(
     space: ConfigSpace,
     oracle: MeasurementOracle,
@@ -156,8 +96,7 @@ def run_rs(
     rng = random.Random(seed)
     ledger = BudgetLedger(budget=params.budget)
     target = min(params.budget, space.size())
-    best_f_t = math.inf
-    best_ind: Individual | None = None
+    best: Individual | None = None
     trajectory: list[IterationRecord] = []
     while ledger.consumed < target:
         consumed_before = ledger.consumed
@@ -165,20 +104,27 @@ def run_rs(
         sample = measure(oracle, config, ledger)
         if ledger.consumed == consumed_before:
             continue
-        if sample.f_t < best_f_t:
-            best_f_t = sample.f_t
-            best_ind = Individual(config, sample)
+        if best is None or sample.f_t < best.raw.f_t:
+            best = Individual(config, sample)
         trajectory.append(
-            IterationRecord(
-                iteration=ledger.consumed,
-                b=ledger.consumed,
-                w=None,
-                p_prime=None,
-                o=None,
-                best_f_t_raw=best_f_t,
-            )
+            IterationRecord(ledger.consumed, ledger.consumed, None, None, None, best.raw.f_t)
         )
-    return _plain_run("rs", seed, params, ledger, best_ind, trajectory, run_id)
+    return finish_run(run_id, "rs", seed, params, best, ledger, trajectory)
+
+
+def _raw_target_tournament(
+    population: list[Individual], rng: random.Random
+) -> tuple[Individual, Individual]:
+    """A mating pair; each parent is the better raw target of two uniform
+    draws, ties flipping a coin."""
+    def pick() -> Individual:
+        a = population[rng.randrange(len(population))]
+        b = population[rng.randrange(len(population))]
+        if a.raw.f_t != b.raw.f_t:
+            return a if a.raw.f_t < b.raw.f_t else b
+        return a if rng.random() < 0.5 else b
+
+    return pick(), pick()
 
 
 def run_ga(
@@ -190,98 +136,27 @@ def run_ga(
 ) -> TuningRun:
     """Single-objective elitist GA on the raw target objective.
 
-    Same tournament/crossover/mutation operators and population size as
-    the tuner; survival is truncation of parents plus offspring.
+    Same crossover/mutation operators, population size and stop rule as
+    the tuner; parents win tournaments on the raw target, and survival is
+    truncation of parents plus offspring.
     """
-    if params.budget < params.population_size:
-        raise ValueError("budget must cover at least one population of measurements")
     rng = random.Random(seed)
-    ledger = BudgetLedger(budget=params.budget)
-    n = params.population_size
-    space_size = space.size()
-
-    population = [
-        Individual(cfg, measure(oracle, cfg, ledger))
-        for cfg in (space.random_config(rng) for _ in range(n))
-    ]
-    best = min(population, key=lambda ind: ind.raw.f_t)
-    stagnation = 0
-    trajectory = [
-        IterationRecord(0, ledger.consumed, None, None, 0, best.raw.f_t)
-    ]
-    iteration = 0
-    stalled = 0
-
-    def pick_parent() -> Individual:
-        a = population[rng.randrange(len(population))]
-        b = population[rng.randrange(len(population))]
-        if a.raw.f_t != b.raw.f_t:
-            return a if a.raw.f_t < b.raw.f_t else b
-        return a if rng.random() < 0.5 else b
-
-    while (
-        ledger.consumed < params.budget
-        and len(ledger.cache) < space_size
-        and stalled < params.stall_iteration_cap
-    ):
-        iteration += 1
-        consumed_before = ledger.consumed
-        offspring: list[Individual] = []
-        exhausted = False
-        while len(offspring) < n and not exhausted:
-            px, py = pick_parent(), pick_parent()
-            children = uniform_crossover(px.config, py.config, params.crossover_rate, rng)
-            for child in children:
-                child = boundary_mutation(child, params.mutation_rate, space, rng)
-                if ledger.is_cached(child):
-                    offspring.append(Individual(child, ledger.cache[child]))
-                elif ledger.remaining > 0:
-                    offspring.append(Individual(child, measure(oracle, child, ledger)))
-                else:
-                    exhausted = True
-        improved = [ind for ind in offspring if ind.raw.f_t < best.raw.f_t]
-        if improved:
-            best = min(improved, key=lambda ind: ind.raw.f_t)
-            stagnation = 0
-        else:
-            stagnation += 1
-        merged = population + offspring
-        merged.sort(key=lambda ind: ind.raw.f_t)
-        population = merged[:n]
-        trajectory.append(
-            IterationRecord(iteration, ledger.consumed, None, None, stagnation, best.raw.f_t)
+    ledger, state = seed_population(space, oracle, params, rng)
+    trajectory = [IterationRecord(0, ledger.consumed, None, None, 0, state.best.raw.f_t)]
+    for iteration in generations(space, ledger, params):
+        offspring = breed(
+            state.population, _raw_target_tournament, space, oracle, ledger, params, rng
         )
-        stalled = stalled + 1 if ledger.consumed == consumed_before else 0
-
-    return _plain_run("ga", seed, params, ledger, best, trajectory, run_id)
-
-
-def _plain_run(
-    optimizer: str,
-    seed: int,
-    params: TunerParams,
-    ledger: BudgetLedger,
-    best: Individual,
-    trajectory: list[IterationRecord],
-    run_id: str | None,
-) -> TuningRun:
-    curve: list[float] = []
-    running = math.inf
-    for _, sample in ledger.charge_log:
-        running = min(running, sample.f_t)
-        curve.append(running)
-    return TuningRun(
-        run_id=run_id or f"{optimizer}-s{seed}-b{params.budget}",
-        optimizer=optimizer,
-        seed=seed,
-        budget=params.budget,
-        best_config=best.config,
-        best_f_t=best.raw.f_t,
-        best_f_a=best.raw.f_a,
-        measurements_used=ledger.consumed,
-        trajectory=tuple(trajectory),
-        best_by_measurement=tuple(curve),
-    )
+        update_stagnation(state, offspring)
+        merged = state.population + offspring
+        merged.sort(key=lambda ind: ind.raw.f_t)
+        state.population = merged[: params.population_size]
+        trajectory.append(
+            IterationRecord(
+                iteration, ledger.consumed, None, None, state.stagnation, state.best.raw.f_t
+            )
+        )
+    return finish_run(run_id, "ga", seed, params, state.best, ledger, trajectory)
 
 
 def run_optimizer(
@@ -292,13 +167,20 @@ def run_optimizer(
     seed: int,
     run_id: str | None = None,
 ) -> TuningRun:
-    """Dispatch a single run for any optimizer spec."""
-    if spec.kind == "admmo":
-        return run_variant(spec, space, oracle, params, seed, run_id)
-    if spec.kind == "mmo_fixed":
-        return run_mmo_fixed(space, oracle, params, seed, spec.fixed_w, run_id)
-    if spec.kind == "pmo":
-        return run_pmo(space, oracle, params, seed, run_id)
+    """Dispatch a single run for any optimizer spec: every kind but random
+    search and the GA maps onto the keywords of the shared loop."""
     if spec.kind == "rs":
         return run_rs(space, oracle, params, seed, run_id)
-    return run_ga(space, oracle, params, seed, run_id)
+    if spec.kind == "ga":
+        return run_ga(space, oracle, params, seed, run_id)
+    if spec.kind == "admmo":
+        modes = {"duplicates_mode": spec.duplicates_mode, "trigger_mode": spec.trigger_mode}
+    else:
+        # the fixed-weight and plain baselines keep every duplicate and never
+        # adapt the weight, so a fixed weight is the loop's initial one
+        modes = {"duplicates_mode": DUPLICATES_INDISTINCT, "trigger_mode": TRIGGER_OFF}
+    if spec.kind == "pmo":
+        modes["model"] = MODEL_PLAIN
+    if spec.kind == "mmo_fixed":
+        params = replace(params, initial_weight=spec.fixed_w)
+    return evolve(space, oracle, params, seed, optimizer_label=spec.label, run_id=run_id, **modes)

@@ -83,7 +83,7 @@ def run_campaign(
         for spec in optimizers:
             result.runs[spec.label] = {int(b): [] for b in budgets}
             for budget in budgets:
-                run_params = _with_budget(template, int(budget))
+                run_params = replace(template, budget=int(budget))
                 for rep in range(repeats):
                     run_id = f"{case.case_id}__{spec.label}__b{budget}__r{rep}"
                     tasks.append((case, spec, run_params, base_seed + rep, run_id))
@@ -100,10 +100,6 @@ def run_campaign(
             result.runs = {}
         results.append(result)
     return results
-
-
-def _with_budget(params: TunerParams, budget: int) -> TunerParams:
-    return replace(params, budget=budget)
 
 
 def normalized_target_performance(case: CaseResult) -> dict[str, dict[int, float]]:

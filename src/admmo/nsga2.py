@@ -136,11 +136,12 @@ def boundary_mutation(
     return Configuration(tuple(values))
 
 
-def nsga2_survival(union: list[Individual], capacity: int) -> list[Individual]:
-    """Plain NSGA-II survival: whole fronts while they fit, then the
-    most crowded individuals of the first front that does not."""
+def fill_by_fronts(fronts: list[list[Individual]], capacity: int) -> list[Individual]:
+    """Whole fronts while they fit, then the most crowded individuals of
+    the first front that does not. Crowding is computed for every front
+    the fill reaches."""
     survivors: list[Individual] = []
-    for front in nondominated_sort(union):
+    for front in fronts:
         if len(survivors) >= capacity:
             break
         crowding_distance(front)
@@ -151,3 +152,8 @@ def nsga2_survival(union: list[Individual], capacity: int) -> list[Individual]:
             ranked = sorted(front, key=lambda ind: ind.crowding, reverse=True)
             survivors.extend(ranked[:room])
     return survivors
+
+
+def nsga2_survival(union: list[Individual], capacity: int) -> list[Individual]:
+    """Plain NSGA-II survival: fill by the fronts of the union."""
+    return fill_by_fronts(nondominated_sort(union), capacity)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any
 
 BINARY = "binary"
 INTEGER = "integer"
@@ -156,8 +156,3 @@ class ConfigSpace:
             )
         domains = [opt.domain_values() for opt in self.options]
         return [Configuration(vals) for vals in itertools.product(*domains)]
-
-    def iter_all(self) -> Iterator[Configuration]:
-        """Lazy enumeration without the cap check."""
-        domains = [opt.domain_values() for opt in self.options]
-        return (Configuration(vals) for vals in itertools.product(*domains))

@@ -10,6 +10,10 @@ with three additions:
 * partial duplicate retention in survival, which demotes same-front
   duplicates to the next front instead of deleting them, so good
   duplicates may still survive without drowning the selection.
+
+The pieces every population-based run shares live here too: the seeded
+initial population, the stop rule, the offspring loop and the packaging
+of a finished run.
 """
 
 from __future__ import annotations
@@ -17,12 +21,15 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate
+from typing import Callable, Iterator
 
 from .mmo import Individual, compute_meta_union, normalize_union
 from .nsga2 import (
     binary_tournament,
     boundary_mutation,
     crowding_distance,
+    fill_by_fronts,
     nondominated_sort,
     nsga2_survival,
     uniform_crossover,
@@ -150,20 +157,24 @@ def should_trigger(
     return rng.random() < prob
 
 
-def dedupe_by_config(union: list[Individual]) -> list[Individual]:
-    """First-encountered representative per duplicate group, order kept."""
+def split_duplicates(group: list[Individual]) -> tuple[list[Individual], list[Individual]]:
+    """Split into the first-encountered representative of each duplicate
+    group and the surplus duplicates, both in their original order."""
     seen: set[Configuration] = set()
     unique: list[Individual] = []
-    for ind in union:
-        if ind.config not in seen:
+    surplus: list[Individual] = []
+    for ind in group:
+        if ind.config in seen:
+            surplus.append(ind)
+        else:
             seen.add(ind.config)
             unique.append(ind)
-    return unique
+    return unique, surplus
 
 
 def current_proportion(union: list[Individual]) -> Proportion:
     """p' of the union under whatever meta-objectives are currently set."""
-    unique = dedupe_by_config(union)
+    unique, _ = split_duplicates(union)
     fronts = nondominated_sort(unique)
     return Proportion(nondominated=len(fronts[0]), unique=len(unique))
 
@@ -223,52 +234,29 @@ def adapt_weight(union: list[Individual], w: float, target: float, params: Tuner
     return w
 
 
-def _demote_duplicates(front: list[Individual]) -> tuple[list[Individual], list[Individual]]:
-    """Split a front into first-occurrence uniques and surplus duplicates."""
-    seen: set[Configuration] = set()
-    kept: list[Individual] = []
-    demoted: list[Individual] = []
-    for ind in front:
-        if ind.config in seen:
-            demoted.append(ind)
-        else:
-            seen.add(ind.config)
-            kept.append(ind)
-    return kept, demoted
-
-
 def partial_duplicate_survival(union: list[Individual], capacity: int) -> list[Individual]:
     """Survival selection with partial duplicate retention.
 
     Fronts are walked in order; wherever a successor front exists, the
     surplus members of each duplicate group are demoted into it (and may
-    cascade further when that front is reached). Whole fronts are kept
-    while they fit; the first front that does not fit is truncated by
-    crowding distance. Duplicates therefore spread across consecutive
-    fronts, with the best-placed copy ranked highest, and the resulting
-    front-0 contains exactly the unique nondominated configurations.
+    cascade further when that front is reached). The demoted fronts are
+    then filled as in plain NSGA-II: whole fronts while they fit, the
+    first front that does not fit truncated by crowding distance.
+    Demotion in fronts the fill never reaches changes nothing.
+    Duplicates therefore spread across consecutive fronts, with the
+    best-placed copy ranked highest, and the resulting front-0 contains
+    exactly the unique nondominated configurations.
     """
     if len(union) < capacity:
         raise ValueError(f"union of {len(union)} cannot fill a population of {capacity}")
     fronts = nondominated_sort(union)
-    survivors: list[Individual] = []
-    i = 0
-    while i < len(fronts) and len(survivors) < capacity:
-        front = fronts[i]
+    for i in range(len(fronts)):
         if i + 1 < len(fronts):
-            front, demoted = _demote_duplicates(front)
+            fronts[i], demoted = split_duplicates(fronts[i])
             fronts[i + 1] = fronts[i + 1] + demoted
-        crowding_distance(front)
-        for ind in front:
+        for ind in fronts[i]:
             ind.rank = i
-        room = capacity - len(survivors)
-        if len(front) <= room:
-            survivors.extend(front)
-        else:
-            ranked = sorted(front, key=lambda ind: ind.crowding, reverse=True)
-            survivors.extend(ranked[:room])
-        i += 1
-    return survivors
+    return fill_by_fronts(fronts, capacity)
 
 
 # objective models and duplicate/trigger modes understood by the engine
@@ -292,7 +280,7 @@ def select_survivors(
     if duplicates_mode == DUPLICATES_PARTIAL:
         return partial_duplicate_survival(union, capacity)
     if duplicates_mode == DUPLICATES_REMOVE_ALL:
-        unique = dedupe_by_config(union)
+        unique, _ = split_duplicates(union)
         return nsga2_survival(unique, min(capacity, len(unique)))
     if duplicates_mode == DUPLICATES_INDISTINCT:
         return nsga2_survival(union, capacity)
@@ -316,6 +304,105 @@ def update_stagnation(state: TunerState, offspring: list[Individual]) -> TunerSt
     return state
 
 
+def seed_population(
+    space: ConfigSpace, oracle: MeasurementOracle, params: TunerParams, rng: random.Random
+) -> tuple[BudgetLedger, TunerState]:
+    """A fresh ledger and a state holding the measured initial draws.
+
+    Every population-based run starts here, so runs with equal seeds
+    start from identical populations.
+    """
+    if params.budget < params.population_size:
+        raise ValueError("budget must cover at least one population of measurements")
+    ledger = BudgetLedger(budget=params.budget)
+    population = [
+        Individual(cfg, measure(oracle, cfg, ledger))
+        for cfg in (space.random_config(rng) for _ in range(params.population_size))
+    ]
+    state = TunerState(
+        w=params.initial_weight,
+        best=min(population, key=lambda ind: ind.raw.f_t),
+        population=population,
+    )
+    return ledger, state
+
+
+def generations(space: ConfigSpace, ledger: BudgetLedger, params: TunerParams) -> Iterator[int]:
+    """Iteration numbers 1, 2, ... of a population-based run.
+
+    The run stops when the budget is spent, when every configuration of
+    the space has been measured, or when ``stall_iteration_cap``
+    iterations in a row charge no new measurement.
+    """
+    space_size = space.size()
+    iteration = 0
+    stalled = 0
+    while (
+        ledger.consumed < params.budget
+        and len(ledger.cache) < space_size
+        and stalled < params.stall_iteration_cap
+    ):
+        iteration += 1
+        consumed_before = ledger.consumed
+        yield iteration
+        stalled = stalled + 1 if ledger.consumed == consumed_before else 0
+
+
+def breed(
+    population: list[Individual],
+    pick_parents: Callable[[list[Individual], random.Random], tuple[Individual, Individual]],
+    space: ConfigSpace,
+    oracle: MeasurementOracle,
+    ledger: BudgetLedger,
+    params: TunerParams,
+    rng: random.Random,
+) -> list[Individual]:
+    """One generation of offspring: pick a parent pair, cross it over,
+    mutate each child, and measure it unless the ledger already has it,
+    until a population's worth of children is admitted."""
+    offspring: list[Individual] = []
+    exhausted = False
+    while len(offspring) < params.population_size and not exhausted:
+        parent_x, parent_y = pick_parents(population, rng)
+        children = uniform_crossover(parent_x.config, parent_y.config, params.crossover_rate, rng)
+        for child in children:
+            child = boundary_mutation(child, params.mutation_rate, space, rng)
+            if ledger.is_cached(child):
+                offspring.append(Individual(child, ledger.cache[child]))
+            elif ledger.remaining > 0:
+                offspring.append(Individual(child, measure(oracle, child, ledger)))
+            else:
+                # Budget ran out mid-iteration: this child is unmeasurable,
+                # so it is dropped and the iteration proceeds with the
+                # offspring admitted so far.
+                exhausted = True
+    return offspring
+
+
+def finish_run(
+    run_id: str | None,
+    optimizer: str,
+    seed: int,
+    params: TunerParams,
+    best: Individual,
+    ledger: BudgetLedger,
+    trajectory: list[IterationRecord],
+) -> TuningRun:
+    """Package a finished run, with the best-so-far curve per charged measurement."""
+    return TuningRun(
+        run_id=run_id or f"{optimizer}-s{seed}-b{params.budget}",
+        optimizer=optimizer,
+        seed=seed,
+        budget=params.budget,
+        best_config=best.config,
+        best_f_t=best.raw.f_t,
+        best_f_a=best.raw.f_a,
+        measurements_used=ledger.consumed,
+        trajectory=tuple(trajectory),
+        best_by_measurement=tuple(accumulate((s.f_t for _, s in ledger.charge_log), min)),
+    )
+
+
 def _apply_model(union: list[Individual], model: str, w: float) -> None:
     if model == MODEL_PLAIN:
         for ind in union:
@@ -334,69 +421,28 @@ def evolve(
     model: str = MODEL_WEIGHTED,
     duplicates_mode: str = DUPLICATES_PARTIAL,
     trigger_mode: str = TRIGGER_PROGRESSIVE,
-    fixed_weight: float | None = None,
     optimizer_label: str = "admmo",
     run_id: str | None = None,
     union_observer=None,
 ) -> TuningRun:
     """The shared evolutionary loop behind the tuner and its variants.
 
-    The trigger draws come from a dedicated stream so that runs differing
-    only in trigger or duplicate handling share the same initialization
-    and variation randomness for a given seed.
+    The weight starts at ``params.initial_weight`` and only moves when
+    the trigger fires. The trigger draws come from a dedicated stream so
+    that runs differing only in trigger or duplicate handling share the
+    same initialization and variation randomness for a given seed.
     """
-    if params.budget < params.population_size:
-        raise ValueError("budget must cover at least one population of measurements")
     rng = random.Random(seed)
     trigger_rng = random.Random(f"trigger:{seed}")
-    ledger = BudgetLedger(budget=params.budget)
-    n = params.population_size
-    space_size = space.size()
-
-    population = [
-        Individual(cfg, measure(oracle, cfg, ledger))
-        for cfg in (space.random_config(rng) for _ in range(n))
-    ]
-    state = TunerState(
-        w=params.initial_weight if fixed_weight is None else fixed_weight,
-        best=min(population, key=lambda ind: ind.raw.f_t),
-        population=population,
-    )
-    normalize_union(population)
-    _apply_model(population, model, state.w)
-    trajectory = [_record(0, ledger, state, population, model)]
+    ledger, state = seed_population(space, oracle, params, rng)
+    normalize_union(state.population)
+    _apply_model(state.population, model, state.w)
+    trajectory = [_record(0, ledger, state, state.population, model)]
     # ranks/crowding for the first mating round; overwrites _record's scratch sort
-    for front in nondominated_sort(population):
+    for front in nondominated_sort(state.population):
         crowding_distance(front)
-    iteration = 0
-    stalled = 0
-    while (
-        ledger.consumed < params.budget
-        and len(ledger.cache) < space_size
-        and stalled < params.stall_iteration_cap
-    ):
-        iteration += 1
-        consumed_before = ledger.consumed
-
-        offspring: list[Individual] = []
-        exhausted = False
-        while len(offspring) < n and not exhausted:
-            parent_x, parent_y = binary_tournament(state.population, rng)
-            children = uniform_crossover(
-                parent_x.config, parent_y.config, params.crossover_rate, rng
-            )
-            for child in children:
-                child = boundary_mutation(child, params.mutation_rate, space, rng)
-                if ledger.is_cached(child):
-                    offspring.append(Individual(child, ledger.cache[child]))
-                elif ledger.remaining > 0:
-                    offspring.append(Individual(child, measure(oracle, child, ledger)))
-                else:
-                    # Budget ran out mid-iteration: this child is unmeasurable,
-                    # so it is dropped and the iteration proceeds with the
-                    # offspring admitted so far.
-                    exhausted = True
-
+    for iteration in generations(space, ledger, params):
+        offspring = breed(state.population, binary_tournament, space, oracle, ledger, params, rng)
         update_stagnation(state, offspring)
         union = state.population + offspring
         normalize_union(union)
@@ -423,19 +469,9 @@ def evolve(
         # record before survival: survival owns the ranks used for mating
         trajectory.append(_record(iteration, ledger, state, union, model))
 
-        state.population = select_survivors(union, n, duplicates_mode)
+        state.population = select_survivors(union, params.population_size, duplicates_mode)
 
-        stalled = stalled + 1 if ledger.consumed == consumed_before else 0
-
-    return _finish(
-        run_id=run_id,
-        optimizer=optimizer_label,
-        seed=seed,
-        params=params,
-        state=state,
-        ledger=ledger,
-        trajectory=trajectory,
-    )
+    return finish_run(run_id, optimizer_label, seed, params, state.best, ledger, trajectory)
 
 
 def _record(
@@ -461,34 +497,6 @@ def _record(
     )
 
 
-def _finish(
-    run_id: str | None,
-    optimizer: str,
-    seed: int,
-    params: TunerParams,
-    state: TunerState,
-    ledger: BudgetLedger,
-    trajectory: list[IterationRecord],
-) -> TuningRun:
-    best_curve: list[float] = []
-    best = math.inf
-    for _, sample in ledger.charge_log:
-        best = min(best, sample.f_t)
-        best_curve.append(best)
-    return TuningRun(
-        run_id=run_id or f"{optimizer}-s{seed}-b{params.budget}",
-        optimizer=optimizer,
-        seed=seed,
-        budget=params.budget,
-        best_config=state.best.config,
-        best_f_t=state.best.raw.f_t,
-        best_f_a=state.best.raw.f_a,
-        measurements_used=ledger.consumed,
-        trajectory=tuple(trajectory),
-        best_by_measurement=tuple(best_curve),
-    )
-
-
 def run_admmo(
     space: ConfigSpace,
     oracle: MeasurementOracle,
@@ -498,14 +506,4 @@ def run_admmo(
 ) -> TuningRun:
     """The adaptive tuner: progressive trigger, weight adaptation, and
     partial duplicate retention on top of the weighted meta-objectives."""
-    return evolve(
-        space,
-        oracle,
-        params,
-        seed,
-        model=MODEL_WEIGHTED,
-        duplicates_mode=DUPLICATES_PARTIAL,
-        trigger_mode=TRIGGER_PROGRESSIVE,
-        optimizer_label="admmo",
-        run_id=run_id,
-    )
+    return evolve(space, oracle, params, seed, optimizer_label="admmo", run_id=run_id)

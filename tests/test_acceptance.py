@@ -19,6 +19,7 @@ from admmo import (
     BudgetLedger,
     ConfigSpace,
     MeasurementTable,
+    OptimizerSpec,
     OptionSpec,
     PerfSample,
     TunerParams,
@@ -30,7 +31,7 @@ from admmo import (
     measure,
     nondominated_sort,
     run_admmo,
-    run_pmo,
+    run_optimizer,
     run_rs,
     select_survivors,
     synthetic_landscape,
@@ -253,7 +254,9 @@ def comparative_runs():
             for r in range(REPEATS)
         ]
         results[ls, "pmo"] = [
-            run_pmo(oracle.space, oracle, base, seed=RUN_SEED_BASE + r).best_f_t
+            run_optimizer(
+                OptimizerSpec("pmo"), oracle.space, oracle, base, seed=RUN_SEED_BASE + r
+            ).best_f_t
             for r in range(REPEATS)
         ]
     timings["comparative"] = time.perf_counter() - started

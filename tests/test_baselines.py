@@ -13,11 +13,8 @@ from admmo import (
     TunerParams,
     run_admmo,
     run_ga,
-    run_mmo_fixed,
     run_optimizer,
-    run_pmo,
     run_rs,
-    run_variant,
     synthetic_landscape,
     unique_nondominated_proportion,
 )
@@ -67,12 +64,11 @@ class TestMmoFixed:
         evolve(
             oracle.space,
             oracle,
-            TunerParams(budget=50),
+            TunerParams(budget=50, initial_weight=0.0),
             seed=2,
             model=MODEL_WEIGHTED,
             duplicates_mode="indistinct",
             trigger_mode="off",
-            fixed_weight=0.0,
             union_observer=observer,
         )
         assert observed and all(observed)
@@ -96,7 +92,13 @@ class TestMmoFixed:
             trigger_mode=TRIGGER_PROGRESSIVE,
             union_observer=observer,
         )
-        fixed = run_mmo_fixed(oracle.space, oracle, TunerParams(budget=40), seed=0, fixed_w=1.0)
+        fixed = run_optimizer(
+            OptimizerSpec("mmo_fixed", fixed_w=1.0),
+            oracle.space,
+            oracle,
+            TunerParams(budget=40),
+            seed=0,
+        )
         assert duplicate_iterations == []
         assert adaptive.trajectory == fixed.trajectory
         assert adaptive.best_config == fixed.best_config
@@ -113,12 +115,11 @@ class TestMmoFixed:
         evolve(
             oracle.space,
             oracle,
-            TunerParams(budget=60),
+            TunerParams(budget=60, initial_weight=1.0),
             seed=5,
             model=MODEL_WEIGHTED,
             duplicates_mode="indistinct",
             trigger_mode="off",
-            fixed_weight=1.0,
             union_observer=observer,
         )
         assert unions
@@ -197,7 +198,8 @@ class TestPmo:
 
     def test_budget_equal_population_returns_best_of_init(self):
         oracle = synthetic_landscape(n_options=20, domain_sizes=2, k=3, seed=25)
-        run = run_pmo(oracle.space, oracle, TunerParams(budget=10), seed=6)
+        params = TunerParams(budget=10)
+        run = run_optimizer(OptimizerSpec("pmo"), oracle.space, oracle, params, seed=6)
         assert len(run.trajectory) == 1
         assert run.best_f_t == min(run.best_by_measurement)
 
@@ -278,7 +280,7 @@ class TestVariants:
         oracle = synthetic_landscape(n_options=10, domain_sizes=2, k=3, seed=28)
         params = TunerParams(budget=70)
         spec = OptimizerSpec("admmo")
-        a = run_variant(spec, oracle.space, oracle, params, seed=11)
+        a = run_optimizer(spec, oracle.space, oracle, params, seed=11)
         b = run_admmo(oracle.space, oracle, params, seed=11)
         assert a.trajectory == b.trajectory
         assert a.best_config == b.best_config
@@ -289,7 +291,7 @@ class TestVariants:
         # the constant variant
         oracle = synthetic_landscape(n_options=12, domain_sizes=2, k=4, seed=29)
         spec = OptimizerSpec("admmo", trigger_mode="constant")
-        run = run_variant(spec, oracle.space, oracle, TunerParams(budget=40), seed=12)
+        run = run_optimizer(spec, oracle.space, oracle, TunerParams(budget=40), seed=12)
         first = run.trajectory[1]
         assert first.o == 0 or first.w != 1.0
         moved = [rec.w for rec in run.trajectory if rec.w != 1.0]
@@ -299,7 +301,7 @@ class TestVariants:
         oracle = synthetic_landscape(n_options=12, domain_sizes=2, k=4, seed=30)
         params = TunerParams(budget=50)
         runs = {
-            label: run_variant(
+            label: run_optimizer(
                 OptimizerSpec("admmo", **kwargs), oracle.space, oracle, params, seed=13
             )
             for label, kwargs in (
@@ -313,11 +315,6 @@ class TestVariants:
         first = {label: run.best_by_measurement[:10] for label, run in runs.items()}
         assert len({tuple(v) for v in first.values()}) == 1
 
-    def test_run_variant_rejects_non_admmo(self):
-        space, table = sixteen_point_table()
-        with pytest.raises(ValueError):
-            run_variant(OptimizerSpec("rs"), space, table, TunerParams(budget=16), 0)
-
 
 class TestSharedContracts:
     def test_identical_seeds_align_initial_populations(self):
@@ -325,8 +322,8 @@ class TestSharedContracts:
         params = TunerParams(budget=30)
         runs = [
             run_admmo(oracle.space, oracle, params, seed=14),
-            run_mmo_fixed(oracle.space, oracle, params, seed=14),
-            run_pmo(oracle.space, oracle, params, seed=14),
+            run_optimizer(OptimizerSpec("mmo_fixed"), oracle.space, oracle, params, seed=14),
+            run_optimizer(OptimizerSpec("pmo"), oracle.space, oracle, params, seed=14),
             run_ga(oracle.space, oracle, params, seed=14),
         ]
         prefixes = {run.best_by_measurement[:10] for run in runs}
