@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from .tuner import TunerParams, TuningRun
 
 TRAJECTORY_FIELDS = ("run_id", "iteration", "b", "w", "p_prime", "o", "best_f_t_raw")
 CONVERGENCE_FIELDS = ("run_id", "measurement", "best_f_t_raw")
+CAMPAIGN_DIRS = ("trajectories", "convergence", "report")  # what bench and report write
 NOT_ACHIEVED_MARK = "✗"  # the "not achieved" cross in speedup tables
 
 
@@ -149,13 +151,12 @@ def cmd_bench(args) -> int:
         raise RunSpecError("every budget must be at least the population size")
     out_dir = Path(args.out) if args.out else spec.output_dir
 
-    if out_dir.exists() and any(out_dir.iterdir()):
-        if not args.force:
-            print(
-                f"error: output directory {out_dir} is not empty; pass --force to overwrite",
-                file=sys.stderr,
-            )
-            return 2
+    if out_dir.exists() and any(out_dir.iterdir()) and not args.force:
+        print(
+            f"error: output directory {out_dir} is not empty; pass --force to overwrite",
+            file=sys.stderr,
+        )
+        return 2
 
     params = _tuner_params(spec, max(budgets), p)
     results = run_campaign(
@@ -168,6 +169,10 @@ def cmd_bench(args) -> int:
         jobs=args.jobs,
     )
 
+    # report reads every trajectory file, so a previous campaign's files must go
+    for name in CAMPAIGN_DIRS:
+        shutil.rmtree(out_dir / name, ignore_errors=True)
+    (out_dir / "summary.json").unlink(missing_ok=True)
     provenance = _provenance(spec.digest, seed)
     for case_result in results:
         for per_budget in case_result.runs.values():
@@ -306,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--budget", type=int, help="run a single budget instead of the ladder")
     bench.add_argument("--p", type=float, help="target nondominated proportion override")
     bench.add_argument("--jobs", type=int, default=1, help="parallel runs (default 1)")
-    bench.add_argument("--force", action="store_true", help="overwrite a non-empty output dir")
+    bench.add_argument("--force", action="store_true", help="replace an existing campaign")
     bench.add_argument("--out", help="output directory override")
     bench.set_defaults(func=cmd_bench)
 

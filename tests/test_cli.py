@@ -165,6 +165,22 @@ class TestBench:
         assert "--force" in capsys.readouterr().err
         assert main(["bench", str(spec_dir / "spec.yaml"), "--force"]) == 0
 
+    def test_force_replaces_the_previous_campaign(self, spec_dir, capsys):
+        spec = str(spec_dir / "spec.yaml")
+        out = spec_dir / "campaign"
+        assert main(["bench", spec]) == 0
+        assert main(["report", str(out)]) == 0
+        (out / "notes.txt").write_text("kept\n")
+        assert main(["bench", spec, "--force", "--optimizer", "rs"]) == 0
+        assert main(["report", str(out)]) == 0
+        for sub in ("trajectories", "convergence"):
+            names = [path.name for path in (out / sub).glob("*.csv")]
+            assert len(names) == 2 * 3 and all("__rs__" in name for name in names)
+        series = out / "report" / "weight_series.csv"
+        rows = series.read_text().splitlines()[1:] if series.exists() else []
+        assert not [row for row in rows if "__admmo__" in row]
+        assert (out / "notes.txt").read_text() == "kept\n"
+
     def test_provenance_headers_present(self, spec_dir):
         main(["bench", str(spec_dir / "spec.yaml")])
         sample = next((spec_dir / "campaign" / "trajectories").glob("*.csv"))
