@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Callable, Iterator
 
-from .mmo import Individual, compute_meta_union, normalize_union
+from .mmo import Individual, compute_meta_union, dominates, normalize_union
 from .nsga2 import (
     binary_tournament,
     boundary_mutation,
@@ -186,28 +186,26 @@ class TuningRun:
     best_by_measurement: tuple[float, ...]
 
 
-def trigger_probability(o: int, offset: int, consumed: int, budget: int, cutoff: float) -> float:
+def trigger_probability(o: int, consumed: int, budget: int) -> float:
     """Probability of firing weight adaptation.
 
-    Zero while the stagnation count o is within the offset; beyond it the
-    probability rises with o and with the consumed share of the budget
-    (slope term S = budget / consumed), approaching the cutoff from below
-    at o = offset + S^2 excess iterations.
+    Zero while the stagnation count o is within ``TRIGGER_OFFSET``; beyond
+    it the probability rises with o and with the consumed share of the
+    budget (slope term S = budget / consumed), approaching
+    ``CUTOFF_PROBABILITY`` from below at o = offset + S^2 excess iterations.
     """
     if consumed < 1 or budget < consumed:
         raise ValueError("need 1 <= consumed <= budget")
     slope = budget / consumed
-    return 1.0 - math.exp(math.log(cutoff) * max(0, o - offset) / slope**2)
+    return 1.0 - math.exp(math.log(CUTOFF_PROBABILITY) * max(0, o - TRIGGER_OFFSET) / slope**2)
 
 
-def should_trigger(
-    o: int, offset: int, consumed: int, budget: int, cutoff: float, rng: random.Random
-) -> bool:
+def should_trigger(o: int, consumed: int, budget: int, rng: random.Random) -> bool:
     """Bernoulli draw against :func:`trigger_probability`.
 
     A zero probability returns False without consuming randomness.
     """
-    prob = trigger_probability(o, offset, consumed, budget, cutoff)
+    prob = trigger_probability(o, consumed, budget)
     if prob <= 0.0:
         return False
     return rng.random() < prob
@@ -229,10 +227,21 @@ def split_duplicates(group: list[Individual]) -> tuple[list[Individual], list[In
 
 
 def current_proportion(union: list[Individual]) -> Proportion:
-    """p' of the union under whatever meta-objectives are currently set."""
+    """p' of the union under whatever meta-objectives are currently set.
+
+    Counts the distinct configurations that no other one dominates, which
+    is front 0 of a nondominated sort without the sort; ranks are left
+    untouched.
+    """
     unique, _ = split_duplicates(union)
-    fronts = nondominated_sort(unique)
-    return Proportion(nondominated=len(fronts[0]), unique=len(unique))
+    nondominated = 0
+    for ind in unique:
+        for other in unique:
+            if dominates(other, ind):
+                break
+        else:
+            nondominated += 1
+    return Proportion(nondominated=nondominated, unique=len(unique))
 
 
 def unique_nondominated_proportion(union: list[Individual], w: float) -> Proportion:
@@ -248,20 +257,21 @@ def unique_nondominated_proportion(union: list[Individual], w: float) -> Proport
 def adapt_weight(union: list[Individual], w: float, target: float) -> float:
     """Walk the weight until the unique-nondominated proportion hits ``target``.
 
-    Each step measures p' at the current w and moves w up (p' < target) or
-    down (p' > target) by the schedule step: coarse 0.1 once w would land
-    at or above 0.1, fine 1e-4 when decreasing below 0.1. Stops on exact
+    Each step measures p' at the current w and moves w up (p' < target) by
+    the coarse step 0.1, or down (p' > target) by 0.1 while w would stay at
+    or above 0.1 and by the fine step 1e-4 below that. Stops on exact
     equality, on hitting a bound, when the comparison sign flips between
     consecutive steps (keeping whichever w was closer, smaller w on ties),
-    or at the iteration cap. The union's meta-objectives are left computed
-    at the returned weight.
+    or at the iteration cap; a walk therefore never turns round. The union
+    is deduplicated once, since it is fixed during the walk, and its
+    meta-objectives are left computed at the returned weight.
     """
-    delta = COARSE_STEP
+    unique, _ = split_duplicates(union)
     prev_sign = 0
     prev_w = w
     prev_gap = math.inf
     for _ in range(ADAPT_ITERATION_CAP):
-        p_now = unique_nondominated_proportion(union, w).value
+        p_now = unique_nondominated_proportion(unique, w).value
         if p_now == target:
             break
         sign = 1 if p_now < target else -1
@@ -279,13 +289,11 @@ def adapt_weight(union: list[Individual], w: float, target: float) -> float:
             break
         prev_sign, prev_w, prev_gap = sign, w, gap
         if sign > 0:
-            if w + delta >= 0.1:
-                delta = COARSE_STEP
-            w = min(w + delta, WEIGHT_MAX)
+            w = min(w + COARSE_STEP, WEIGHT_MAX)
+        elif w - COARSE_STEP >= 0.1:
+            w = w - COARSE_STEP
         else:
-            if w - delta < 0.1:
-                delta = FINE_STEP
-            w = max(w - delta, WEIGHT_MIN)
+            w = max(w - FINE_STEP, WEIGHT_MIN)
     compute_meta_union(union, w)
     return w
 
@@ -491,7 +499,7 @@ def evolve(
     normalize_union(state.population)
     _set_objectives(state.population, weighted, state.w)
     trajectory = [_record(0, ledger, state, state.population, weighted)]
-    # ranks/crowding for the first mating round; overwrites _record's scratch sort
+    # ranks/crowding for the first mating round
     for front in nondominated_sort(state.population):
         crowding_distance(front)
     for iteration in generations(space, ledger, params):
@@ -502,14 +510,7 @@ def evolve(
 
         if adaptive and (
             spec.trigger_mode == TRIGGER_CONSTANT
-            or should_trigger(
-                state.stagnation,
-                TRIGGER_OFFSET,
-                ledger.consumed,
-                params.budget,
-                CUTOFF_PROBABILITY,
-                trigger_rng,
-            )
+            or should_trigger(state.stagnation, ledger.consumed, params.budget, trigger_rng)
         ):
             state.w = adapt_weight(union, state.w, params.target_proportion)
         else:
@@ -533,17 +534,11 @@ def _record(
     union: list[Individual],
     weighted: bool,
 ) -> IterationRecord:
-    if weighted:
-        proportion = unique_nondominated_proportion(union, state.w).value
-        w: float | None = state.w
-    else:
-        proportion = current_proportion(union).value
-        w = None
     return IterationRecord(
         iteration=iteration,
         b=ledger.consumed,
-        w=w,
-        p_prime=proportion,
+        w=state.w if weighted else None,
+        p_prime=current_proportion(union).value,
         o=state.stagnation,
         best_f_t_raw=state.best.raw.f_t,
     )

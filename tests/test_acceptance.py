@@ -70,9 +70,9 @@ def test_criterion_01_weighted_sum_equals_geometric_form():
 
 def test_criterion_02_trigger_probability_reference_values():
     for o in (0, 1):
-        assert trigger_probability(o, 1, 50, 400, 0.5) == 0.0
-    v8 = trigger_probability(5, 1, 50, 400, 0.5)
-    v4 = trigger_probability(5, 1, 100, 400, 0.5)
+        assert trigger_probability(o, 50, 400) == 0.0
+    v8 = trigger_probability(5, 50, 400)
+    v4 = trigger_probability(5, 100, 400)
     assert v8 == pytest.approx(0.042397, abs=1e-4)
     assert v4 == pytest.approx(0.159104, abs=1e-4)
     report(f"[PASS] criterion 2: trigger = 0 while o <= offset, "

@@ -27,47 +27,47 @@ from conftest import make_individual, names_of
 class TestTriggerProbability:
     def test_zero_within_offset(self):
         for consumed in (1, 57, 400):
-            assert trigger_probability(1, 1, consumed, 400, 0.5) == 0.0
-            assert trigger_probability(0, 1, consumed, 400, 0.5) == 0.0
+            assert trigger_probability(1, consumed, 400) == 0.0
+            assert trigger_probability(0, consumed, 400) == 0.0
 
     def test_reference_points(self):
-        assert trigger_probability(5, 1, 50, 400, 0.5) == pytest.approx(0.042397, abs=1e-4)
-        assert trigger_probability(5, 1, 100, 400, 0.5) == pytest.approx(0.159104, abs=1e-4)
+        assert trigger_probability(5, 50, 400) == pytest.approx(0.042397, abs=1e-4)
+        assert trigger_probability(5, 100, 400) == pytest.approx(0.159104, abs=1e-4)
 
     def test_monotone_in_stagnation_and_consumption(self):
-        probs = [trigger_probability(o, 1, 100, 400, 0.5) for o in range(0, 30)]
+        probs = [trigger_probability(o, 100, 400) for o in range(0, 30)]
         assert probs == sorted(probs)
-        probs_b = [trigger_probability(5, 1, b, 400, 0.5) for b in range(1, 400)]
+        probs_b = [trigger_probability(5, b, 400) for b in range(1, 400)]
         assert probs_b == sorted(probs_b)
 
     def test_requires_consumption_within_budget(self):
         with pytest.raises(ValueError):
-            trigger_probability(5, 1, 0, 400, 0.5)
+            trigger_probability(5, 0, 400)
         with pytest.raises(ValueError):
-            trigger_probability(5, 1, 401, 400, 0.5)
+            trigger_probability(5, 401, 400)
 
     def test_bounded_by_one(self):
-        assert 0.0 <= trigger_probability(100, 1, 200, 400, 0.5) < 1.0
+        assert 0.0 <= trigger_probability(100, 200, 400) < 1.0
         # extreme stagnation saturates to 1.0 only through float rounding
-        assert trigger_probability(10**6, 1, 400, 400, 0.5) <= 1.0
+        assert trigger_probability(10**6, 400, 400) <= 1.0
 
 
 class TestShouldTrigger:
     def test_zero_probability_never_fires(self):
         rng = random.Random(0)
-        assert not any(should_trigger(1, 1, 50, 400, 0.5, rng) for _ in range(1000))
+        assert not any(should_trigger(1, 50, 400, rng) for _ in range(1000))
 
     def test_zero_probability_consumes_no_randomness(self):
         rng = random.Random(0)
         before = rng.getstate()
-        should_trigger(1, 1, 50, 400, 0.5, rng)
+        should_trigger(1, 50, 400, rng)
         assert rng.getstate() == before
 
     def test_draw_frequency_matches_probability(self):
-        prob = trigger_probability(5, 1, 100, 400, 0.5)
+        prob = trigger_probability(5, 100, 400)
         rng = random.Random(77)
         n = 100_000
-        fired = sum(should_trigger(5, 1, 100, 400, 0.5, rng) for _ in range(n))
+        fired = sum(should_trigger(5, 100, 400, rng) for _ in range(n))
         assert abs(fired / n - prob) < 0.01
 
 
