@@ -12,15 +12,16 @@ import csv
 import json
 import shutil
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
 from .baselines import run_optimizer
 from .harness import campaign_summary, run_campaign
 from .runspec import RunSpec, RunSpecError, load_runspec
-from .tuner import TunerParams, TuningRun
+from .tuner import IterationRecord, TunerParams, TuningRun
 
-TRAJECTORY_FIELDS = ("run_id", "iteration", "b", "w", "p_prime", "o", "best_f_t_raw")
+TRAJECTORY_FIELDS = ("run_id",) + tuple(f.name for f in fields(IterationRecord))
 CONVERGENCE_FIELDS = ("run_id", "measurement", "best_f_t_raw")
 CAMPAIGN_DIRS = ("trajectories", "convergence", "report")  # what bench and report write
 NOT_ACHIEVED_MARK = "✗"  # the "not achieved" cross in speedup tables
@@ -55,7 +56,7 @@ def _write_csv(path: Path, header_lines: list[str], fields: tuple[str, ...], row
 
 def _trajectory_rows(run: TuningRun):
     for rec in run.trajectory:
-        yield (run.run_id, rec.iteration, rec.b, rec.w, rec.p_prime, rec.o, rec.best_f_t_raw)
+        yield (run.run_id, *(getattr(rec, name) for name in TRAJECTORY_FIELDS[1:]))
 
 
 def _convergence_rows(run: TuningRun):
@@ -126,10 +127,14 @@ def cmd_tune(args) -> int:
 
 
 def _select_optimizer(spec: RunSpec, label: str | None):
+    """The optimizer with this label, else the first of this kind."""
     if label is None:
         return spec.optimizers[0]
     for opt in spec.optimizers:
-        if opt.label == label or opt.kind == label:
+        if opt.label == label:
+            return opt
+    for opt in spec.optimizers:
+        if opt.kind == label:
             return opt
     raise RunSpecError(
         f"optimizer {label!r} not in spec (have: {[o.label for o in spec.optimizers]})"
@@ -139,6 +144,9 @@ def _select_optimizer(spec: RunSpec, label: str | None):
 def cmd_bench(args) -> int:
     """Full campaign: every optimizer x case x budget x repeat, plus the
     statistics summary."""
+    if args.jobs < 1:
+        print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return 2
     spec = load_runspec(args.spec)
     repeats = args.repeats if args.repeats is not None else spec.repeats
     seed = args.seed if args.seed is not None else spec.seed

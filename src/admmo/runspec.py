@@ -36,7 +36,6 @@ class RunSpec:
     population_size: int
     output_dir: Path
     digest: str
-    origin: Path
 
 
 def _number(value, key: str, kind: type[int] | type[float]):
@@ -46,6 +45,13 @@ def _number(value, key: str, kind: type[int] | type[float]):
     except (TypeError, ValueError):
         expected = "an integer" if kind is int else "a number"
         raise RunSpecError(f"{key!r} must be {expected}, got {value!r}") from None
+
+
+def _mapping(value, key: str) -> dict:
+    """``value`` if it is a mapping, or a RunSpecError that names ``key``."""
+    if not isinstance(value, dict):
+        raise RunSpecError(f"{key!r} must be a mapping, got {value!r}")
+    return value
 
 
 def _parse_option(entry: dict, index: int) -> OptionSpec:
@@ -69,14 +75,14 @@ def _parse_option(entry: dict, index: int) -> OptionSpec:
 
 
 def _parse_space(doc: dict) -> ConfigSpace:
-    options = doc.get("options")
-    if not options:
+    options = _mapping(doc, "space").get("options")
+    if not isinstance(options, list) or not options:
         raise RunSpecError("space needs a nonempty 'options' list")
     return ConfigSpace(tuple(_parse_option(o, i) for i, o in enumerate(options)))
 
 
 def _parse_oracle(doc: dict, base_dir: Path, space: ConfigSpace | None):
-    kind = doc.get("kind")
+    kind = _mapping(doc, "oracle").get("kind")
     if kind == "table":
         if space is None:
             raise RunSpecError("a table oracle needs an explicit 'space' section")
@@ -105,9 +111,14 @@ def _parse_oracle(doc: dict, base_dir: Path, space: ConfigSpace | None):
         for key in ("n_options", "domain_sizes", "k", "seed"):
             if key not in doc:
                 raise RunSpecError(f"synthetic oracle needs {key!r}")
+        sizes = doc["domain_sizes"]
+        if isinstance(sizes, list):
+            sizes = [_number(s, "oracle.domain_sizes", int) for s in sizes]
+        else:
+            sizes = _number(sizes, "oracle.domain_sizes", int)
         landscape = synthetic_landscape(
             n_options=_number(doc["n_options"], "oracle.n_options", int),
-            domain_sizes=doc["domain_sizes"],
+            domain_sizes=sizes,
             k=_number(doc["k"], "oracle.k", int),
             seed=_number(doc["seed"], "oracle.seed", int),
             correlation=_number(doc.get("correlation", 0.0), "oracle.correlation", float),
@@ -162,7 +173,8 @@ def load_runspec(path: str | Path) -> RunSpec:
         if not isinstance(case_docs, list) or not case_docs:
             raise RunSpecError("'cases' must be a nonempty list")
         cases = tuple(
-            _parse_case(c, base_dir, default_id=f"case{i}") for i, c in enumerate(case_docs)
+            _parse_case(_mapping(c, f"cases[{i}]"), base_dir, default_id=f"case{i}")
+            for i, c in enumerate(case_docs)
         )
     else:
         cases = (_parse_case(doc, base_dir, default_id=str(doc.get("id", "case0"))),)
@@ -205,5 +217,4 @@ def load_runspec(path: str | Path) -> RunSpec:
         population_size=population_size,
         output_dir=output_dir,
         digest=digest,
-        origin=path,
     )

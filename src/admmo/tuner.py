@@ -192,7 +192,7 @@ def trigger_probability(o: int, consumed: int, budget: int) -> float:
     Zero while the stagnation count o is within ``TRIGGER_OFFSET``; beyond
     it the probability rises with o and with the consumed share of the
     budget (slope term S = budget / consumed), approaching
-    ``CUTOFF_PROBABILITY`` from below at o = offset + S^2 excess iterations.
+    ``CUTOFF_PROBABILITY`` from below at S^2 iterations beyond the offset.
     """
     if consumed < 1 or budget < consumed:
         raise ValueError("need 1 <= consumed <= budget")

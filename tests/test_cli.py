@@ -97,6 +97,16 @@ class TestRunSpec:
             ("population_size", "abc", "'population_size'"),
             ("seed", "x", "'seed'"),
             ("p", "high", "'p'"),
+            ("cases", [7], "'cases[0]'"),
+            ("oracle", 7, "'oracle'"),
+            ("space", 7, "'space'"),
+            ("space", {"options": 7}, "'options'"),
+            (
+                "oracle",
+                {"kind": "synthetic", "n_options": 4, "domain_sizes": [2, "x", 2, 2], "k": 2,
+                 "seed": 3},
+                "'oracle.domain_sizes'",
+            ),
         ],
     )
     def test_malformed_entry_exits_2_naming_the_key(self, spec_dir, capsys, key, value, named):
@@ -180,6 +190,28 @@ class TestTune:
         assert code != 0
         assert "smac" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "optimizers, asked, chosen",
+        [
+            # an exact label wins over an earlier entry of the same kind
+            (
+                [{"kind": "admmo", "duplicates_mode": "remove_all"}, {"kind": "admmo"}],
+                "admmo",
+                "admmo",
+            ),
+            # with no such label, the first entry of that kind
+            ([{"kind": "rs"}, {"kind": "admmo", "trigger_mode": "constant"}], "admmo", "admmo_c"),
+        ],
+    )
+    def test_optimizer_label_before_kind(self, spec_dir, optimizers, asked, chosen):
+        path = spec_dir / "spec.yaml"
+        doc = yaml.safe_load(path.read_text())
+        doc["optimizers"] = optimizers
+        path.write_text(yaml.safe_dump(doc))
+        out = spec_dir / "picked"
+        assert main(["tune", str(path), "--optimizer", asked, "--out", str(out)]) == 0
+        assert json.loads((out / "best.json").read_text())["optimizer"] == chosen
+
 
 class TestBench:
     def test_cardinality_and_summary(self, spec_dir, capsys):
@@ -194,6 +226,12 @@ class TestBench:
         assert pairs == {"rs__vs__admmo"}
         assert len(entry["comparisons"]) == 2  # one per budget
         assert "speedup" in entry and "rs" in entry["speedup"]
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exits_2(self, spec_dir, capsys, jobs):
+        assert main(["bench", str(spec_dir / "spec.yaml"), "--jobs", jobs]) == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not (spec_dir / "campaign").exists()
 
     def test_refuses_to_overwrite_without_force(self, spec_dir, capsys):
         assert main(["bench", str(spec_dir / "spec.yaml")]) == 0

@@ -3,12 +3,15 @@
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from admmo import (
     TunerParams,
     TunerState,
     adapt_weight,
     compute_meta_union,
+    nondominated_sort,
     nsga2_survival,
     partial_duplicate_survival,
     run_admmo,
@@ -89,6 +92,26 @@ class TestProportion:
         ]
         prop = unique_nondominated_proportion(union, 1.0)
         assert prop.value == pytest.approx(1 / 5)
+
+    @given(
+        points=st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)), min_size=1, max_size=8),
+        picks=st.lists(st.integers(0, 7), min_size=1, max_size=20),
+        w=st.floats(min_value=0, allow_infinity=False),
+    )
+    def test_count_is_front_zero_of_the_unique_configurations(self, points, picks, w):
+        # duplicates share one sample, so copies of a point carry equal objectives
+        union = []
+        for pick in picks:
+            gene = pick % len(points)
+            f_t, f_a = points[gene]
+            union.append(make_individual(gene, f_t_norm=f_t, f_a_norm=f_a, w=w))
+        for i, ind in enumerate(union):
+            ind.rank = -i
+        prop = tuner.current_proportion(union)
+        assert [ind.rank for ind in union] == [-i for i in range(len(union))]
+        unique, _ = tuner.split_duplicates(union)
+        assert prop.unique == len(unique)
+        assert prop.nondominated == len(nondominated_sort(unique)[0])
 
 
 def two_point_union():
