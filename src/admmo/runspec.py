@@ -39,12 +39,18 @@ class RunSpec:
 
 
 def _number(value, key: str, kind: type[int] | type[float]):
-    """``value`` as an int or a float, or a RunSpecError that names ``key``."""
+    """``value`` as an int or a float, or a RunSpecError that names ``key``.
+
+    A fractional number is no int: it is rejected, not truncated.
+    """
     try:
-        return kind(value)
-    except (TypeError, ValueError):
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or (kind is int and isinstance(value, float) and number != value):
         expected = "an integer" if kind is int else "a number"
-        raise RunSpecError(f"{key!r} must be {expected}, got {value!r}") from None
+        raise RunSpecError(f"{key!r} must be {expected}, got {value!r}")
+    return number
 
 
 def _mapping(value, key: str) -> dict:

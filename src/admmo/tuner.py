@@ -43,8 +43,8 @@ from .space import ConfigSpace, Configuration
 # probability C:
 TRIGGER_OFFSET = 1
 CUTOFF_PROBABILITY = 0.5
-# The weight walk: its coarse and fine steps, its bounds, the most p'
-# evaluations one adaptation may make, and the weight a run starts from:
+# The weight walk: its coarse and fine steps, its bounds, the most steps
+# one adaptation may walk, and the weight a run starts from:
 COARSE_STEP = 0.1
 FINE_STEP = 1e-4
 WEIGHT_MIN = 0.0
@@ -257,43 +257,71 @@ def unique_nondominated_proportion(union: list[Individual], w: float) -> Proport
 def adapt_weight(union: list[Individual], w: float, target: float) -> float:
     """Walk the weight until the unique-nondominated proportion hits ``target``.
 
-    Each step measures p' at the current w and moves w up (p' < target) by
-    the coarse step 0.1, or down (p' > target) by 0.1 while w would stay at
-    or above 0.1 and by the fine step 1e-4 below that. Stops on exact
-    equality, on hitting a bound, when the comparison sign flips between
-    consecutive steps (keeping whichever w was closer, smaller w on ties),
-    or at the iteration cap; a walk therefore never turns round. The union
-    is deduplicated once, since it is fixed during the walk, and its
-    meta-objectives are left computed at the returned weight.
+    The walk's points run from w up (p' < target) in coarse steps of 0.1,
+    or down (p' > target) in steps of 0.1 while w would stay at or above
+    0.1 and in fine steps of 1e-4 below that. The walk stops at its first
+    point that hits the target exactly, that crosses it (keeping whichever
+    of the two last points has the closer p', the smaller w on ties) or
+    that lies on the bound it heads for; after ``ADAPT_ITERATION_CAP``
+    points without a stop it ends on the next point. It never turns round.
+
+    As p' is monotone in w, "the walk stops here" is false and then true
+    along the points, so the first stop is found by galloping (points 1,
+    2, 4, ...) and bisecting, measuring p' at a handful of points instead
+    of at every one. Near ties can break that monotonicity (see the
+    README); the weight returned is then still a stop of the walk, if not
+    always its first. The union is deduplicated once, since it is fixed
+    during the walk, and its meta-objectives are left computed at the
+    returned weight.
     """
     unique, _ = split_duplicates(union)
-    prev_sign = 0
-    prev_w = w
-    prev_gap = math.inf
-    for _ in range(ADAPT_ITERATION_CAP):
-        p_now = unique_nondominated_proportion(unique, w).value
-        if p_now == target:
-            break
-        sign = 1 if p_now < target else -1
-        gap = abs(p_now - target)
-        if prev_sign != 0 and sign != prev_sign:
-            # Oscillation: the target sits between two lattice values of p'.
-            if gap < prev_gap:
-                pass
-            elif prev_gap < gap:
-                w = prev_w
+    points = [w]
+    gaps: dict[float, float] = {}
+
+    def point(i: int) -> float:
+        while len(points) <= i:
+            x = points[-1]
+            if up:
+                x = min(x + COARSE_STEP, WEIGHT_MAX)
+            elif x - COARSE_STEP >= 0.1:
+                x = x - COARSE_STEP
             else:
-                w = min(w, prev_w)
-            break
-        if (sign > 0 and w >= WEIGHT_MAX) or (sign < 0 and w <= WEIGHT_MIN):
-            break
-        prev_sign, prev_w, prev_gap = sign, w, gap
-        if sign > 0:
-            w = min(w + COARSE_STEP, WEIGHT_MAX)
-        elif w - COARSE_STEP >= 0.1:
-            w = w - COARSE_STEP
-        else:
-            w = max(w - FINE_STEP, WEIGHT_MIN)
+                x = max(x - FINE_STEP, WEIGHT_MIN)
+            points.append(x)
+        return points[i]
+
+    def gap(i: int) -> float:
+        x = point(i)
+        if x not in gaps:
+            gaps[x] = unique_nondominated_proportion(unique, x).value - target
+        return gaps[x]
+
+    def reached(i: int) -> bool:
+        return gap(i) == 0 or (gap(i) > 0) == up
+
+    def stops(i: int) -> bool:
+        return reached(i) or (point(i) >= WEIGHT_MAX if up else point(i) <= WEIGHT_MIN)
+
+    up = gap(0) < 0
+    last = ADAPT_ITERATION_CAP - 1
+    lo = hi = 0
+    while not stops(hi) and hi < last:
+        lo, hi = hi, min(max(2 * hi, 1), last)
+    if not stops(hi):
+        hi = ADAPT_ITERATION_CAP
+    elif reached(hi):
+        # Otherwise hi lies on the bound short of the target, and so does
+        # the walk's first bound point, where it stops: the same weight.
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if stops(mid) else (mid, hi)
+        if gap(hi) != 0:
+            # Oscillation: the target sits between two lattice values of p';
+            # the nearer one wins, and on a tie the smaller w, hi - 1 going up.
+            before, after = abs(gap(hi - 1)), abs(gap(hi))
+            if before < after or (before == after and up):
+                hi -= 1
+    w = point(hi)
     compute_meta_union(union, w)
     return w
 

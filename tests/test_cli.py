@@ -107,6 +107,14 @@ class TestRunSpec:
                  "seed": 3},
                 "'oracle.domain_sizes'",
             ),
+            ("budgets", [20.7], "'budgets'"),
+            ("repeats", 1.5, "'repeats'"),
+            ("population_size", 4.9, "'population_size'"),
+            (
+                "oracle",
+                {"kind": "synthetic", "n_options": 4, "domain_sizes": 2.9, "k": 2, "seed": 3},
+                "'oracle.domain_sizes'",
+            ),
         ],
     )
     def test_malformed_entry_exits_2_naming_the_key(self, spec_dir, capsys, key, value, named):
