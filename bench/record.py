@@ -5,11 +5,11 @@ traced at the first one, times the tier-1 test suite, and writes every
 metric with each run's ``correct`` flag, the CPU count, the Python version
 and the git head. From the root of a checkout:
 
-    python3 bench/record.py --out BENCH_6.json
+    python3 bench/record.py --out snapshot.json
     python3 bench/record.py --out /tmp/bench.json --seconds 1 --seeds 1
 
 The exit code is 0 when every run is correct and the tests pass, else 1.
-Standard library only; the benchmark itself is not changed.
+Standard library only: the benchmark runs as a separate command.
 """
 
 from __future__ import annotations
