@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import __version__
 from .baselines import run_optimizer
-from .harness import campaign_summary, run_campaign
+from .harness import campaign_summary, run_campaign, run_id
 from .runspec import RunSpec, RunSpecError, load_runspec
 from .tuner import IterationRecord, TunerParams, TuningRun
 
@@ -177,7 +177,7 @@ def cmd_bench(args) -> int:
         jobs=args.jobs,
     )
 
-    # report reads every trajectory file, so a previous campaign's files must go
+    # a previous campaign's run files must not mix with this one's
     for name in CAMPAIGN_DIRS:
         shutil.rmtree(out_dir / name, ignore_errors=True)
     (out_dir / "summary.json").unlink(missing_ok=True)
@@ -262,7 +262,7 @@ def cmd_report(args) -> int:
             speedup_rows,
         )
 
-    series_rows = list(_collect_weight_series(campaign_dir))
+    series_rows = list(_collect_weight_series(campaign_dir, cases))
     if series_rows:
         _write_csv(
             report_dir / "weight_series.csv",
@@ -283,11 +283,23 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _collect_weight_series(campaign_dir: Path):
-    trajectory_dir = campaign_dir / "trajectories"
-    if not trajectory_dir.exists():
-        return
-    for path in sorted(trajectory_dir.glob("*.csv")):
+def _collect_weight_series(campaign_dir: Path, cases: dict):
+    """The (w, p') rows of every run the summary lists, in run-id order.
+
+    Other files in ``trajectories/`` are not read, and a listed run whose
+    file is missing adds no rows."""
+    run_ids = sorted(
+        run_id(case_id, label, budget, rep)
+        for case_id, entry in cases.items()
+        if "error" not in entry
+        for label in entry["optimizers"]
+        for budget in entry["budgets"]
+        for rep in range(entry["repeats"])
+    )
+    for rid in run_ids:
+        path = campaign_dir / "trajectories" / f"{rid}.csv"
+        if not path.exists():
+            continue
         with path.open(encoding="utf-8") as fh:
             reader = csv.DictReader(line for line in fh if not line.startswith("#"))
             for row in reader:

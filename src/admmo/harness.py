@@ -54,10 +54,24 @@ class CaseResult:
         return list(self.runs.keys())
 
 
-def _one_run(args) -> tuple[str, str, int, TuningRun]:
-    case, spec, params, seed, run_id = args
-    run = run_optimizer(spec, case.space, case.oracle, params, seed, run_id=run_id)
-    return case.case_id, spec.label, params.budget, run
+def run_id(case_id: str, label: str, budget: int, rep: int) -> str:
+    """The id of one campaign run, which also names its output files."""
+    return f"{case_id}__{label}__b{budget}__r{rep}"
+
+
+# The case this process is running. Each pool worker receives it once,
+# through the pool's initializer, so tasks carry only the run's own settings.
+_case: BenchCase | None = None
+
+
+def _set_case(case: BenchCase | None) -> None:
+    global _case
+    _case = case
+
+
+def _one_run(args) -> TuningRun:
+    spec, params, seed, rid = args
+    return run_optimizer(spec, _case.space, _case.oracle, params, seed, run_id=rid)
 
 
 def run_campaign(
@@ -71,9 +85,11 @@ def run_campaign(
 ) -> list[CaseResult]:
     """Execute the full grid of runs; repeat r uses seed base_seed + r.
 
-    Identical seeds across optimizers align initial populations. A case
-    with a failing run is reported with that run's id and error, its other
-    runs are dropped, and the campaign goes on.
+    Identical seeds across optimizers align initial populations. Each case
+    gets its own pool of ``jobs`` workers (none at ``jobs=1``), and each
+    worker receives the case once. A case with a failing run is reported
+    with that run's id and error, its other runs are dropped, and the
+    campaign goes on.
     """
     if repeats < 1:
         raise ValueError("repeats must be positive")
@@ -87,19 +103,23 @@ def run_campaign(
             for budget in budgets:
                 run_params = replace(template, budget=int(budget))
                 for rep in range(repeats):
-                    run_id = f"{case.case_id}__{spec.label}__b{budget}__r{rep}"
-                    tasks.append((case, spec, run_params, base_seed + rep, run_id))
-        run_id = None
+                    rid = run_id(case.case_id, spec.label, budget, rep)
+                    tasks.append((spec, run_params, base_seed + rep, rid))
+        rid = None
+        _set_case(case)
         try:
-            with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+            with ProcessPoolExecutor(
+                max_workers=jobs, initializer=_set_case, initargs=(case,)
+            ) if jobs > 1 else nullcontext() as pool:
                 outcomes = pool.map(_one_run, tasks) if pool else map(_one_run, tasks)
                 # outcomes come in task order, so a failure is the current task's
-                for *_, run_id in tasks:
-                    _, label, budget, run = next(outcomes)
-                    result.runs[label][budget].append(run)
+                for spec, run_params, _, rid in tasks:
+                    result.runs[spec.label][run_params.budget].append(next(outcomes))
         except Exception as exc:  # noqa: BLE001 - per-case failures must not kill the campaign
-            result.error = f"run {run_id}: {type(exc).__name__}: {exc}"
+            result.error = f"run {rid}: {type(exc).__name__}: {exc}"
             result.runs = {}
+        finally:
+            _set_case(None)  # the parent must not keep the last case's table alive
         results.append(result)
     return results
 

@@ -320,3 +320,17 @@ class TestReport:
         main(["report", str(spec_dir / "campaign"), "--out", str(spec_dir / "r2")])
         for name in ("performance.csv", "speedup.csv"):
             assert (spec_dir / "r1" / name).read_bytes() == (spec_dir / "r2" / name).read_bytes()
+
+    def test_reads_only_the_runs_the_summary_lists(self, spec_dir):
+        campaign = spec_dir / "campaign"
+        main(["bench", str(spec_dir / "spec.yaml")])
+        main(["report", str(campaign), "--out", str(spec_dir / "r1")])
+        trajectories = campaign / "trajectories"
+        listed = trajectories / "demo-system__admmo__b12__r0.csv"
+        stray = listed.read_text().replace("demo-system__admmo__b12__r0", "stray__admmo__b12__r0")
+        (trajectories / "stray__admmo__b12__r0.csv").write_text(stray)
+        main(["report", str(campaign), "--out", str(spec_dir / "r2")])
+        series = (spec_dir / "r2" / "weight_series.csv").read_text()
+        assert "demo-system__admmo__b12__r0" in series
+        assert "stray" not in series
+        assert series == (spec_dir / "r1" / "weight_series.csv").read_text()

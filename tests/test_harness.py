@@ -1,11 +1,20 @@
 """Harness tests: campaign execution, normalization pool, speedup, stats glue."""
 
+import functools
+import itertools
+import pickle
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass
+from multiprocessing import get_context
+
 import pytest
 
 from admmo import (
     BenchCase,
     CaseResult,
+    ConfigSpace,
     Configuration,
+    MeasurementTable,
     OptimizerSpec,
     TunerParams,
     TuningRun,
@@ -18,6 +27,7 @@ from admmo import (
     speedup,
     synthetic_landscape,
 )
+from admmo import harness
 
 
 def fake_run(best_curve, run_id="r", optimizer="x", budget=None) -> TuningRun:
@@ -48,6 +58,27 @@ def case_with(final_bests: dict[str, dict[int, list[float]]]) -> CaseResult:
                 for i, v in enumerate(values)
             ]
     return case
+
+
+@dataclass(frozen=True)
+class BrokenOracle:
+    """A system under test that fails every measurement; module level, so it
+    pickles under any start method."""
+
+    space: ConfigSpace
+
+    def sample(self, config):
+        raise RuntimeError("dead system under test")
+
+
+def table_case(case_id="table") -> BenchCase:
+    """A case replaying every configuration of a 12-option binary space."""
+    landscape = synthetic_landscape(n_options=12, domain_sizes=2, k=3, seed=17)
+    rows = {}
+    for values in itertools.product((0, 1), repeat=12):
+        config = Configuration(values)
+        rows[config] = landscape.sample(config)
+    return BenchCase(case_id, landscape.space, MeasurementTable(landscape.space, rows))
 
 
 class TestCampaign:
@@ -81,19 +112,52 @@ class TestCampaign:
         assert campaign_summary(seq) == campaign_summary(par)
 
     def test_failing_case_reports_error_and_continues(self):
-        class BrokenOracle:
-            space = self.make_cases()[0].space
-
-            def sample(self, config):
-                raise RuntimeError("dead system under test")
-
         good = self.make_cases()[0]
-        cases = [BenchCase("broken", good.space, BrokenOracle()), good]
-        results = run_campaign(cases, [OptimizerSpec("rs")], [15], 1, base_seed=0)
-        assert results[0].error is not None
-        assert "dead system" in results[0].error
-        assert "broken__rs__b15__r0" in results[0].error
-        assert results[1].error is None
+        cases = [BenchCase("broken", good.space, BrokenOracle(good.space)), good]
+        expected = campaign_summary(
+            run_campaign([good], [OptimizerSpec("rs")], [15], 2, base_seed=0)
+        )
+        for jobs in (1, 2):
+            results = run_campaign(cases, [OptimizerSpec("rs")], [15], 2, base_seed=0, jobs=jobs)
+            assert results[0].error is not None
+            assert "dead system" in results[0].error
+            assert "broken__rs__b15__r0" in results[0].error
+            assert results[1].error is None
+            assert campaign_summary(results[1:]) == expected
+
+    def test_tasks_do_not_carry_the_case(self, monkeypatch):
+        sizes = []
+
+        class TaskSizePool(ProcessPoolExecutor):
+            """Records the pickled size of every task handed to ``map``."""
+
+            def map(self, fn, tasks, **kwargs):
+                tasks = list(tasks)
+                sizes.extend(len(pickle.dumps(task)) for task in tasks)
+                return super().map(fn, tasks, **kwargs)
+
+        case = table_case()
+        assert len(case.oracle) == 4096
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", TaskSizePool)
+        optimizers = [OptimizerSpec("rs"), OptimizerSpec("admmo")]
+        results = run_campaign([case], optimizers, budgets=[20], repeats=2, base_seed=5, jobs=2)
+        assert results[0].error is None
+        assert len(sizes) == 4
+        assert max(sizes) < 1024
+        assert harness._case is None
+
+    def test_spawned_workers_receive_each_case(self, monkeypatch):
+        # spawned workers share no memory with the parent, as on macOS and
+        # Windows, so the case must reach them through the pool's initializer
+        landscape = synthetic_landscape(n_options=6, domain_sizes=3, k=2, seed=23)
+        cases = [table_case(), BenchCase("nk", landscape.space, landscape)]
+        optimizers = [OptimizerSpec("rs"), OptimizerSpec("admmo")]
+        seq = run_campaign(cases, optimizers, budgets=[20], repeats=2, base_seed=9, jobs=1)
+        spawn = functools.partial(ProcessPoolExecutor, mp_context=get_context("spawn"))
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", spawn)
+        par = run_campaign(cases, optimizers, budgets=[20], repeats=2, base_seed=9, jobs=2)
+        assert all(result.error is None for result in par)
+        assert campaign_summary(par) == campaign_summary(seq)
 
     def test_smaller_budget_runs_are_not_prefixes_of_larger_ones(self):
         # the adaptation slope depends on the total budget, so a truncated
