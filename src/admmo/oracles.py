@@ -11,7 +11,9 @@ against the budget; repeats are served from the cache.
 
 from __future__ import annotations
 
+import functools
 import math
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol, Sequence
@@ -234,6 +236,42 @@ def load_table(
     return MeasurementTable(space=space, rows=rows)
 
 
+def _nk_shapes(sizes: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
+    """Table shape of each position: its own domain size and those of its k
+    circularly following neighbors."""
+    n = len(sizes)
+    return [tuple(sizes[(i + j) % n] for j in range(k + 1)) for i in range(n)]
+
+
+@functools.lru_cache(maxsize=None)
+def _nk_layout(sizes: tuple[int, ...], k: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
+    """Where each position's table sits in a flat buffer, one
+    ``(offset, ((option, stride), ...))`` per position.
+
+    Tables are stored one after another, each in C order, so the entry a
+    configuration reads is at ``offset + sum(values[option] * stride)``.
+    Landscapes of the same shape share one layout.
+    """
+    n = len(sizes)
+    layout, offset = [], 0
+    for i, shape in enumerate(_nk_shapes(sizes, k)):
+        terms, stride = [], 1
+        for j in reversed(range(k + 1)):
+            terms.append(((i + j) % n, stride))
+            stride *= shape[j]
+        layout.append((offset, tuple(reversed(terms))))
+        offset += stride
+    return tuple(layout)
+
+
+def _table_views(buffer: array, shapes: list[tuple[int, ...]]) -> tuple[np.ndarray, ...]:
+    """Read-only numpy views of the consecutive tables in ``buffer``."""
+    flat = np.frombuffer(buffer)
+    flat.flags.writeable = False
+    ends = np.cumsum([math.prod(shape) for shape in shapes])[:-1]
+    return tuple(part.reshape(shape) for part, shape in zip(np.split(flat, ends), shapes))
+
+
 @dataclass(frozen=True)
 class NkLandscape:
     """A deterministic rugged landscape over a discrete space.
@@ -244,30 +282,46 @@ class NkLandscape:
     more interaction, hence a more rugged landscape with more local
     optima. The auxiliary objective comes from an independent stream,
     optionally blended with the target via ``correlation`` in [-1, 1].
+
+    Each objective's tables live in one flat buffer (see ``_nk_layout``);
+    ``_t_tables`` and ``_a_tables`` give them back as numpy arrays.
+    Options take the values 0 .. size-1, which are their own indices.
     """
 
     space: ConfigSpace
     k: int
     seed: int
     correlation: float
-    _t_tables: tuple[np.ndarray, ...]
-    _a_tables: tuple[np.ndarray, ...]
+    _t_buffer: array
+    _a_buffer: array
+    _layout: tuple = field(init=False, compare=False, repr=False)
 
-    def _value(self, tables: tuple[np.ndarray, ...], indices: tuple[int, ...]) -> float:
-        n = len(indices)
-        total = 0.0
-        for i, table in enumerate(tables):
-            key = tuple(indices[(i + j) % n] for j in range(self.k + 1))
-            total += float(table[key])
-        return total / n
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_layout", _nk_layout(self._sizes(), self.k))
+
+    def _sizes(self) -> tuple[int, ...]:
+        return tuple(opt.domain_size() for opt in self.space.options)
+
+    @property
+    def _t_tables(self) -> tuple[np.ndarray, ...]:
+        return _table_views(self._t_buffer, _nk_shapes(self._sizes(), self.k))
+
+    @property
+    def _a_tables(self) -> tuple[np.ndarray, ...]:
+        return _table_views(self._a_buffer, _nk_shapes(self._sizes(), self.k))
 
     def sample(self, config: Configuration) -> PerfSample:
-        indices = tuple(
-            v if opt.kind != CATEGORICAL else opt.levels.index(v)
-            for opt, v in zip(self.space.options, config.values)
-        )
-        f_t = self._value(self._t_tables, indices)
-        f_a = self._value(self._a_tables, indices)
+        values = config.values
+        t, a = self._t_buffer, self._a_buffer
+        f_t = f_a = 0.0
+        for offset, terms in self._layout:
+            for option, stride in terms:
+                offset += values[option] * stride
+            f_t += t[offset]
+            f_a += a[offset]
+        n = len(values)
+        f_t /= n
+        f_a /= n
         rho = self.correlation
         if rho:
             f_a = rho * f_t + (1.0 - abs(rho)) * f_a
@@ -307,17 +361,13 @@ def synthetic_landscape(
     )
     space = ConfigSpace(options)
 
-    t_stream, a_stream = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)]
-    shapes = [
-        tuple(sizes[(i + j) % n_options] for j in range(k + 1)) for i in range(n_options)
-    ]
-    t_tables = tuple(t_stream.uniform(size=shape) for shape in shapes)
-    a_tables = tuple(a_stream.uniform(size=shape) for shape in shapes)
+    # one draw of every table at once gives the same floats as one draw per
+    # table in position order
+    total = sum(math.prod(shape) for shape in _nk_shapes(tuple(sizes), k))
+    t_buffer, a_buffer = (
+        array("d", np.random.default_rng(stream).uniform(size=total).tobytes())
+        for stream in np.random.SeedSequence(seed).spawn(2)
+    )
     return NkLandscape(
-        space=space,
-        k=k,
-        seed=seed,
-        correlation=correlation,
-        _t_tables=t_tables,
-        _a_tables=a_tables,
+        space=space, k=k, seed=seed, correlation=correlation, _t_buffer=t_buffer, _a_buffer=a_buffer
     )

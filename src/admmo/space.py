@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 BINARY = "binary"
@@ -92,15 +92,28 @@ class OptionSpec:
         return self.levels[rng.randrange(len(self.levels))]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Configuration:
     """A complete assignment of values, one per option, in space order.
 
     Equality and hashing are componentwise over ``values``; this is the
-    duplicate relation used everywhere.
+    duplicate relation used everywhere. The hash is computed once, at
+    construction, because every ledger and duplicate lookup asks for it.
     """
 
     values: tuple[Any, ...]
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash(self.values))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuild from the values: string hashes are salted per interpreter,
+        # so a pickled hash would be stale in another process
+        return (Configuration, (self.values,))
 
     def __len__(self) -> int:
         return len(self.values)

@@ -1,10 +1,15 @@
 """Baseline and ablation-variant tests."""
 
 import math
+import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from admmo import (
+    BudgetLedger,
     ConfigSpace,
     MeasurementTable,
     OptionSpec,
@@ -18,9 +23,40 @@ from admmo import (
     synthetic_landscape,
     unique_nondominated_proportion,
 )
-from admmo import tuner
+from admmo import baselines, tuner
 from admmo.mmo import Individual
 from admmo.tuner import evolve
+
+EVERY_LABEL = (
+    OptimizerSpec("admmo"),
+    OptimizerSpec("admmo", duplicates_mode="indistinct"),
+    OptimizerSpec("admmo", duplicates_mode="remove_all"),
+    OptimizerSpec("admmo", trigger_mode="constant"),
+    OptimizerSpec("mmo_fixed"),
+    OptimizerSpec("pmo"),
+    OptimizerSpec("ga"),
+    OptimizerSpec("rs"),
+)
+
+option_specs = st.one_of(
+    st.just(("binary",)),
+    st.tuples(st.just("integer"), st.integers(-2, 1), st.integers(1, 3)),
+    st.tuples(st.just("categorical"), st.integers(2, 4)),
+)
+
+
+def small_space(kinds) -> ConfigSpace:
+    """A space from ``option_specs`` draws, with a categorical option first."""
+    options = [OptionSpec.categorical("mode", ("fast", "safe", "lean"))]
+    for i, kind in enumerate(kinds):
+        if kind[0] == "binary":
+            options.append(OptionSpec.binary(f"b{i}"))
+        elif kind[0] == "integer":
+            options.append(OptionSpec.integer(f"i{i}", kind[1], kind[1] + kind[2]))
+        else:
+            options.append(OptionSpec.categorical(f"c{i}", [f"l{j}" for j in range(kind[1])]))
+    return ConfigSpace(tuple(options))
+
 
 class TestOptimizerSpec:
     def test_labels(self):
@@ -349,3 +385,39 @@ class TestSharedContracts:
             assert run.optimizer == kind
             assert run.measurements_used <= 20
             assert math.isfinite(run.best_f_t)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        kinds=st.lists(option_specs, min_size=1, max_size=4),
+        table_seed=st.integers(0, 2**32 - 1),
+        population_size=st.integers(2, 8),
+        extra_budget=st.integers(0, 60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_budget_contract_for_every_label(
+        self, kinds, table_seed, population_size, extra_budget, seed
+    ):
+        space = small_space(kinds)
+        rng = random.Random(table_seed)
+        table = MeasurementTable(
+            space, {c: PerfSample(rng.random(), rng.random()) for c in space.enumerate_all()}
+        )
+        params = TunerParams(budget=population_size + extra_budget, population_size=population_size)
+        for spec in EVERY_LABEL:
+            ledgers = []
+
+            class RecordedLedger(BudgetLedger):
+                def __post_init__(self):
+                    super().__post_init__()
+                    ledgers.append(self)
+
+            with mock.patch.object(tuner, "BudgetLedger", RecordedLedger), mock.patch.object(
+                baselines, "BudgetLedger", RecordedLedger
+            ):
+                run = run_optimizer(spec, space, table, params, seed)
+            (ledger,) = ledgers
+            charged = [config for config, _ in ledger.charge_log]
+            assert run.measurements_used == len(charged) <= params.budget
+            assert len(set(charged)) == len(charged)
+            assert all(space.validate(config) for config in charged)
+            assert len(run.best_by_measurement) == run.measurements_used

@@ -16,6 +16,7 @@ from admmo import (
     Configuration,
     MeasurementTable,
     OptimizerSpec,
+    OptionSpec,
     TunerParams,
     TuningRun,
     campaign_summary,
@@ -79,6 +80,22 @@ def table_case(case_id="table") -> BenchCase:
         config = Configuration(values)
         rows[config] = landscape.sample(config)
     return BenchCase(case_id, landscape.space, MeasurementTable(landscape.space, rows))
+
+
+def categorical_table_case() -> BenchCase:
+    """A case replaying a space whose last two options are categorical."""
+    landscape = synthetic_landscape(n_options=6, domain_sizes=[2, 2, 2, 2, 3, 4], k=2, seed=19)
+    codecs, schedulers = ("none", "lz4", "zstd"), ("fifo", "rr", "cfs", "batch")
+    options = landscape.space.options[:4] + (
+        OptionSpec.categorical("codec", codecs),
+        OptionSpec.categorical("sched", schedulers),
+    )
+    rows = {}
+    for config in landscape.space.enumerate_all():
+        *flags, codec, sched = config.values
+        rows[Configuration((*flags, codecs[codec], schedulers[sched]))] = landscape.sample(config)
+    space = ConfigSpace(options)
+    return BenchCase("categorical", space, MeasurementTable(space, rows))
 
 
 class TestCampaign:
@@ -157,6 +174,18 @@ class TestCampaign:
         monkeypatch.setattr(harness, "ProcessPoolExecutor", spawn)
         par = run_campaign(cases, optimizers, budgets=[20], repeats=2, base_seed=9, jobs=2)
         assert all(result.error is None for result in par)
+        assert campaign_summary(par) == campaign_summary(seq)
+
+    def test_spawned_workers_look_up_categorical_rows(self, monkeypatch):
+        # a spawned worker salts string hashes afresh, so a table keyed by
+        # configurations holding strings must be rehashed as it arrives
+        cases = [categorical_table_case()]
+        optimizers = [OptimizerSpec("rs"), OptimizerSpec("admmo"), OptimizerSpec("ga")]
+        seq = run_campaign(cases, optimizers, budgets=[30], repeats=2, base_seed=4, jobs=1)
+        spawn = functools.partial(ProcessPoolExecutor, mp_context=get_context("spawn"))
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", spawn)
+        par = run_campaign(cases, optimizers, budgets=[30], repeats=2, base_seed=4, jobs=2)
+        assert all(result.error is None for result in seq + par)
         assert campaign_summary(par) == campaign_summary(seq)
 
     def test_smaller_budget_runs_are_not_prefixes_of_larger_ones(self):

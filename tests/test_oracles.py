@@ -1,7 +1,9 @@
 """Measurement-oracle tests: budget rule, caching, table loading, landscapes."""
 
 import math
+import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -195,6 +197,66 @@ class TestLoadTable(object):
         path = self.write(tmp_path, "\n".join(lines) + "\n")
         table = load_table(path, space, "throughput", "latency")
         assert len(table) == 2880
+
+
+def reference_tables(sizes, k, seed):
+    """The target and auxiliary tables as one ``uniform(size=shape)`` draw per
+    position's table, from the two streams of ``SeedSequence(seed)``."""
+    n = len(sizes)
+    shapes = [tuple(sizes[(i + j) % n] for j in range(k + 1)) for i in range(n)]
+    streams = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2)]
+    return [tuple(stream.uniform(size=shape) for shape in shapes) for stream in streams]
+
+
+def reference_sample(t_tables, a_tables, k, correlation, values):
+    """The NK objectives by numpy lookups, summed in position order from 0.0."""
+
+    def mean_contribution(tables):
+        n = len(values)
+        total = 0.0
+        for i, table in enumerate(tables):
+            total += float(table[tuple(values[(i + j) % n] for j in range(k + 1))])
+        return total / n
+
+    f_t, f_a = mean_contribution(t_tables), mean_contribution(a_tables)
+    if correlation:
+        f_a = correlation * f_t + (1.0 - abs(correlation)) * f_a
+    return f_t, f_a
+
+
+MIXED_SIZES = [2, 3, 5, 2, 4, 2, 3, 2]
+
+
+class TestNkSample:
+    @pytest.mark.parametrize(
+        "sizes, k, correlation",
+        [
+            (MIXED_SIZES, 3, 0.0),
+            (MIXED_SIZES, 1, 0.3),
+            (MIXED_SIZES, 7, -1.0),
+            ([2] * 10, 4, 0.0),
+            ([3, 2, 4, 2, 5], 4, 0.3),
+        ],
+    )
+    def test_bit_identical_to_the_numpy_tables(self, sizes, k, correlation):
+        landscape = synthetic_landscape(len(sizes), sizes, k, seed=29, correlation=correlation)
+        t_tables, a_tables = reference_tables(sizes, k, seed=29)
+        copy = pickle.loads(pickle.dumps(landscape))
+        for config in landscape.space.enumerate_all():
+            expected = reference_sample(t_tables, a_tables, k, correlation, config.values)
+            for oracle in (landscape, copy):
+                sample = oracle.sample(config)
+                assert (sample.f_t, sample.f_a) == expected
+
+    @pytest.mark.parametrize("sizes, k", [(MIXED_SIZES, 3), (MIXED_SIZES, 1), ([2] * 6, 5)])
+    def test_tables_are_the_per_table_draws(self, sizes, k):
+        landscape = synthetic_landscape(len(sizes), sizes, k, seed=31)
+        t_tables, a_tables = reference_tables(sizes, k, seed=31)
+        for got, expected in ((landscape._t_tables, t_tables), (landscape._a_tables, a_tables)):
+            assert len(got) == len(expected) == len(sizes)
+            for table, reference in zip(got, expected):
+                assert table.shape == reference.shape
+                assert np.array_equal(table, reference)
 
 
 class TestSyntheticLandscape:

@@ -1,11 +1,17 @@
 """Config-domain tests: validation, random draws, enumeration, identity."""
 
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import admmo
 from admmo import ConfigSpace, Configuration, OptionSpec, SpaceTooLargeError
 
 
@@ -139,3 +145,26 @@ def test_duplicate_relation_is_equality_of_values(values):
     c = Configuration(tuple(reversed(values)))
     assert a == b and hash(a) == hash(b)
     assert (a == c) == (tuple(values) == tuple(reversed(values)))
+
+
+def test_pickled_configuration_hashes_afresh_in_another_interpreter():
+    # string hashes are salted per interpreter: a hash that travelled with
+    # the pickled configuration would send this lookup to the wrong slot
+    hash_seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    src = str(Path(admmo.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONHASHSEED": hash_seed}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    script = (
+        "import pickle, sys\n"
+        "from admmo import Configuration\n"
+        "table = pickle.loads(sys.stdin.buffer.read())\n"
+        "print(hash('fast'), table.get(Configuration((1, 'fast'))))\n"
+    )
+    table = {Configuration((1, "fast")): "hit"}
+    done = subprocess.run(
+        [sys.executable, "-c", script], input=pickle.dumps(table),
+        env=env, capture_output=True, check=True,
+    )
+    child_hash, found = done.stdout.decode().split()
+    assert int(child_hash) != hash("fast")
+    assert found == "hit"
