@@ -16,11 +16,12 @@ import math
 from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Protocol, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Protocol, Sequence
 
 from .space import CATEGORICAL, ConfigSpace, Configuration, OptionSpec
+
+if TYPE_CHECKING:  # numpy is imported where it is used, so that table-only
+    import numpy as np  # commands never pay for loading it
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -206,16 +207,24 @@ def load_table(
 
     rows: dict[Configuration, PerfSample] = {}
     first_seen: dict[Configuration, int] = {}
+    # per option column, the value of each cell text parsed so far; only
+    # parses that succeeded are kept, so a bad cell fails on its own line
+    parsed: list[dict[str, object]] = [{} for _ in range(n)]
     for line_no, line in data_lines[1:]:
         cells = [c.strip() for c in line.split(delimiter)]
         if len(cells) != n + 2:
             raise TableFormatError(
                 f"line {line_no}: expected {n + 2} columns, got {len(cells)}"
             )
-        values = tuple(
-            _parse_option_value(opt, cell, line_no)
-            for opt, cell in zip(space.options, cells[:n])
-        )
+        try:
+            values = tuple([known[cell] for known, cell in zip(parsed, cells)])
+        except KeyError:
+            values = tuple(
+                _parse_option_value(opt, cell, line_no)
+                for opt, cell in zip(space.options, cells[:n])
+            )
+            for known, cell, value in zip(parsed, cells, values):
+                known[cell] = value
         config = Configuration(values)
         try:
             f_t, f_a = float(cells[t_index]), float(cells[a_index])
@@ -266,6 +275,8 @@ def _nk_layout(sizes: tuple[int, ...], k: int) -> tuple[tuple[int, tuple[tuple[i
 
 def _table_views(buffer: array, shapes: list[tuple[int, ...]]) -> tuple[np.ndarray, ...]:
     """Read-only numpy views of the consecutive tables in ``buffer``."""
+    import numpy as np
+
     flat = np.frombuffer(buffer)
     flat.flags.writeable = False
     ends = np.cumsum([math.prod(shape) for shape in shapes])[:-1]
@@ -354,6 +365,7 @@ def synthetic_landscape(
         raise ValueError(f"ruggedness k must satisfy 1 <= k < n_options, got k={k}")
     if not -1.0 <= correlation <= 1.0:
         raise ValueError("correlation must lie in [-1, 1]")
+    import numpy as np
 
     options = tuple(
         OptionSpec.binary(f"x{i}") if s == 2 else OptionSpec.integer(f"x{i}", 0, s - 1)

@@ -11,8 +11,6 @@ import hashlib
 from dataclasses import dataclass
 from pathlib import Path
 
-import yaml
-
 from .harness import BenchCase
 from .oracles import ObjectiveOrientation, load_table, synthetic_landscape
 from .space import ConfigSpace, OptionSpec
@@ -161,6 +159,8 @@ def _parse_optimizer(entry: dict | str, index: int) -> OptimizerSpec:
 
 def load_runspec(path: str | Path) -> RunSpec:
     """Parse, validate, and resolve a run-spec file."""
+    import yaml
+
     path = Path(path)
     if not path.exists():
         raise RunSpecError(f"run-spec file not found: {path}")

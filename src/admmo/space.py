@@ -10,6 +10,7 @@ plays no role in identity.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass, field
 from typing import Any
@@ -124,6 +125,11 @@ class ConfigSpace:
     """An ordered, immutable collection of options."""
 
     options: tuple[OptionSpec, ...]
+    # built once for ``validate``: per option the values it may take (the
+    # very tuple ``OptionSpec.contains`` tests for binary and categorical
+    # options, a range for integer ones), and the integer options' positions
+    _domains: tuple = field(init=False, compare=False, repr=False)
+    _integer_positions: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.options) < 1:
@@ -131,6 +137,16 @@ class ConfigSpace:
         names = [opt.name for opt in self.options]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate option names in {names}")
+        domains = tuple(
+            range(opt.lo, opt.hi + 1) if opt.kind == INTEGER else opt.domain_values()
+            for opt in self.options
+        )
+        object.__setattr__(self, "_domains", domains)
+        object.__setattr__(
+            self,
+            "_integer_positions",
+            tuple(i for i, opt in enumerate(self.options) if opt.kind == INTEGER),
+        )
 
     @property
     def n_options(self) -> int:
@@ -149,9 +165,14 @@ class ConfigSpace:
 
     def validate(self, config: Configuration) -> bool:
         """True iff lengths match and every component is in-domain."""
-        if len(config.values) != len(self.options):
+        values = config.values
+        if len(values) != len(self.options):
             return False
-        return all(opt.contains(v) for opt, v in zip(self.options, config.values))
+        # as OptionSpec.contains: ``in`` a range would also take 1.0
+        for i in self._integer_positions:
+            if not isinstance(values[i], int):
+                return False
+        return all(map(operator.contains, self._domains, values))
 
     def random_config(self, rng: random.Random) -> Configuration:
         """Draw each component uniformly from its domain."""

@@ -1,8 +1,9 @@
 """Nonparametric comparison statistics for repeated tuning runs.
 
 * two-sided Wilcoxon rank-sum for unpaired samples: exact conditional
-  distribution (midranks, counted by dynamic programming) for small
-  samples, tie-corrected normal approximation otherwise;
+  distribution (midranks, counted by dynamic programming over packed
+  integers) for small samples, tie-corrected normal approximation
+  otherwise;
 * the Vargha-Delaney effect size: the probability that a draw from the
   first sample exceeds one from the second, ties split;
 * the conventional effect bands: a comparison counts as significant only
@@ -47,18 +48,25 @@ def _exact_rank_sum_p(doubled_ranks: list[int], n: int, observed: int) -> float:
     subsets by a subset-sum dynamic program over (size, sum).
     """
     total_sum = sum(doubled_ranks)
-    # counts[k][s] = number of k-subsets of the pool with doubled rank sum s
-    counts = [[0] * (total_sum + 1) for _ in range(n + 1)]
-    counts[0][0] = 1
+    # counts[k] packs the counts of k-subsets by doubled rank sum s into one
+    # int, the count for s in the width-bit slot at bit s * width: the sum
+    # over s of count * x**s at x = 2**width. Shifting and adding are exact
+    # polynomial arithmetic at that x, so a row below n may carry out of its
+    # slots harmlessly; only row n is unpacked, and each of its counts is at
+    # most comb(N, n) for a pool of N, which its slots hold. The unpacked
+    # counts are the integers a list-per-size table would hold, so the
+    # floats are the same.
+    width = math.comb(len(doubled_ranks), n).bit_length() + 1
+    counts = [1] + [0] * n
     for r in doubled_ranks:
+        shift = r * width
         for k in range(min(n, len(doubled_ranks)), 0, -1):
-            row_prev, row = counts[k - 1], counts[k]
-            for s in range(total_sum - r, -1, -1):
-                if row_prev[s]:
-                    row[s + r] += row_prev[s]
-    total = sum(counts[n])
-    p_le = sum(counts[n][: observed + 1]) / total
-    p_ge = sum(counts[n][observed:]) / total
+            counts[k] += counts[k - 1] << shift
+    mask = (1 << width) - 1
+    row = [(counts[n] >> (s * width)) & mask for s in range(total_sum + 1)]
+    total = sum(row)
+    p_le = sum(row[: observed + 1]) / total
+    p_ge = sum(row[observed:]) / total
     return min(1.0, 2.0 * min(p_le, p_ge))
 
 

@@ -1,10 +1,15 @@
 """CLI tests: run-spec parsing, tune/bench/report round trips, provenance."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
 
+import admmo
 from admmo.cli import main
 from admmo.runspec import RunSpecError, load_runspec
 
@@ -334,3 +339,30 @@ class TestReport:
         assert "demo-system__admmo__b12__r0" in series
         assert "stray" not in series
         assert series == (spec_dir / "r1" / "weight_series.csv").read_text()
+
+
+class TestImports:
+    def loaded_after(self, cwd, *args):
+        """Which of numpy and yaml a fresh interpreter holds after importing
+        ``admmo.cli`` and, given ``args``, running ``main(args)``."""
+        src = str(Path(admmo.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        script = (
+            "import sys\n"
+            "from admmo import cli\n"
+            "assert not sys.argv[1:] or cli.main(sys.argv[1:]) == 0\n"
+            "print(sorted({'numpy', 'yaml'} & set(sys.modules)))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script, *args], cwd=cwd, env=env,
+            capture_output=True, text=True, check=True,
+        )
+        return done.stdout.splitlines()[-1]
+
+    def test_table_commands_leave_numpy_unloaded(self, spec_dir):
+        # numpy is for NK landscapes and yaml for run-specs: importing either
+        # at module level costs every campaign process their load time
+        assert self.loaded_after(spec_dir) == "[]"
+        assert self.loaded_after(spec_dir, "bench", "spec.yaml") == "['yaml']"
+        assert self.loaded_after(spec_dir, "report", "campaign") == "[]"

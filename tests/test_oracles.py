@@ -170,6 +170,41 @@ class TestLoadTable(object):
         with pytest.raises(TableFormatError, match="line 2"):
             load_table(path, self.SPACE, "t", "a")
 
+    def test_repeated_bad_cell_names_its_first_line(self, tmp_path):
+        path = self.write(
+            tmp_path,
+            "cache,mode,t,a\n0,fast,5.0,1.0\n0,slow,5.0,1.0\n1,slow,6.0,1.0\n"
+            "0,slow,7.0,1.0\n",
+        )
+        with pytest.raises(TableFormatError, match=r"^line 3: 'slow' is not a level"):
+            load_table(path, self.SPACE, "t", "a")
+
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            ("9,fast", "line 3: value 9 out of range for option 'threads'"),
+            ("2,turbo", "line 3: 'turbo' is not a level of option 'mode'"),
+            ("two,fast", "line 3: 'two' is not an integer for option 'threads'"),
+        ],
+    )
+    def test_bad_cell_after_parsed_ones_keeps_its_message(self, tmp_path, row, message):
+        space = ConfigSpace(
+            (OptionSpec.integer("threads", 1, 4), OptionSpec.categorical("mode", ("fast", "safe")))
+        )
+        path = self.write(tmp_path, f"threads,mode,t,a\n2,fast,5.0,1.0\n{row},6.0,1.0\n")
+        with pytest.raises(TableFormatError) as raised:
+            load_table(path, space, "t", "a")
+        assert str(raised.value) == message
+
+    def test_two_spellings_of_one_integer_are_one_configuration(self, tmp_path):
+        space = ConfigSpace((OptionSpec.integer("threads", 0, 4), OptionSpec.binary("cache")))
+        agree = "threads,cache,t,a\n1,01,5.0,1.0\n01,1,5.0,1.0\n 1 ,1,5.0,1.0\n"
+        table = load_table(self.write(tmp_path, agree), space, "t", "a")
+        assert table.rows == {Configuration((1, 1)): PerfSample(5.0, 1.0)}
+        clash = "threads,cache,t,a\n1,1,5.0,1.0\n01,1,6.0,1.0\n"
+        with pytest.raises(TableFormatError, match="line 3: conflicting duplicate of line 2"):
+            load_table(self.write(tmp_path, clash), space, "t", "a")
+
     def test_non_numeric_objective_names_line(self, tmp_path):
         path = self.write(tmp_path, "cache,mode,t,a\n0,fast,bad,1.0\n")
         with pytest.raises(TableFormatError, match="line 2"):

@@ -71,6 +71,60 @@ class TestValidate:
         assert space.validate(Configuration(("safe",)))
         assert not space.validate(Configuration((1,)))
 
+    def test_numeric_types_as_the_option_decides(self):
+        space = ConfigSpace((OptionSpec.integer("i", 0, 5), OptionSpec.binary("b")))
+        assert space.validate(Configuration((True, 1.0)))
+        assert not space.validate(Configuration((1.0, 1)))
+
+
+def contains_every_value(space: ConfigSpace, values: tuple) -> bool:
+    """Reference: ``validate`` as each option's own ``contains`` decides."""
+    return len(values) == len(space.options) and all(
+        opt.contains(v) for opt, v in zip(space.options, values)
+    )
+
+
+@st.composite
+def mixed_spaces(draw):
+    options = []
+    for i in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["binary", "integer", "categorical"]))
+        if kind == "binary":
+            options.append(OptionSpec.binary(f"x{i}"))
+        elif kind == "integer":
+            lo = draw(st.integers(-2, 2))
+            options.append(OptionSpec.integer(f"x{i}", lo, lo + draw(st.integers(0, 3))))
+        else:
+            options.append(OptionSpec.categorical(f"x{i}", ("fast", "safe", "1")))
+    return ConfigSpace(tuple(options))
+
+
+ANY_VALUE = st.one_of(
+    st.sampled_from([0, 1, 2, -1, True, False, 0.0, 1.0, 2.5, float("nan"), "fast", "safe", "1", None]),
+    st.integers(-4, 6),
+    st.floats(-4, 6),
+    st.text(max_size=2),
+)
+
+
+def near_domain(opt: OptionSpec):
+    """Values of the option's domain, as they are or as floats, or anything."""
+    in_domain = st.sampled_from(opt.domain_values())
+    as_float = in_domain.filter(lambda v: isinstance(v, int)).map(float)
+    return st.one_of(in_domain, as_float, ANY_VALUE)
+
+
+@given(space=mixed_spaces(), data=st.data())
+@settings(max_examples=200)
+def test_validate_decides_as_every_contains(space, data):
+    n = space.n_options
+    if data.draw(st.booleans()):
+        values = tuple(data.draw(near_domain(opt)) for opt in space.options)
+    else:
+        size = data.draw(st.sampled_from([n - 1, n + 1]))
+        values = tuple(data.draw(st.lists(ANY_VALUE, min_size=size, max_size=size)))
+    assert space.validate(Configuration(values)) == contains_every_value(space, values)
+
 
 class TestRandomConfig:
     def test_deterministic_under_fixed_seed(self, small_space):

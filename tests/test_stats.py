@@ -24,6 +24,29 @@ def enumeration_rank_sum_p(a, b):
     return min(1.0, 2.0 * min(p_le, p_ge))
 
 
+def list_rank_sum_p(doubled_ranks, n, observed):
+    """Reference: the (size, sum) dynamic program with one list per size."""
+    total_sum = sum(doubled_ranks)
+    counts = [[0] * (total_sum + 1) for _ in range(n + 1)]
+    counts[0][0] = 1
+    for r in doubled_ranks:
+        for k in range(min(n, len(doubled_ranks)), 0, -1):
+            row_prev, row = counts[k - 1], counts[k]
+            for s in range(total_sum - r, -1, -1):
+                if row_prev[s]:
+                    row[s + r] += row_prev[s]
+    total = sum(counts[n])
+    p_le = sum(counts[n][: observed + 1]) / total
+    p_ge = sum(counts[n][observed:]) / total
+    return min(1.0, 2.0 * min(p_le, p_ge))
+
+
+def exact_arguments(a, b):
+    """What ``wilcoxon_rank_sum`` hands ``_exact_rank_sum_p`` for a and b."""
+    ranks = _midranks(list(a) + list(b))
+    return [round(2 * r) for r in ranks], len(a), round(2 * sum(ranks[: len(a)]))
+
+
 class TestWilcoxon:
     def test_disjoint_triples_exact_tenth(self):
         assert wilcoxon_rank_sum([1, 2, 3], [4, 5, 6]) == pytest.approx(0.1, abs=0)
@@ -49,6 +72,30 @@ class TestWilcoxon:
             assert wilcoxon_rank_sum(a, b) == pytest.approx(
                 enumeration_rank_sum_p(a, b), abs=1e-12
             )
+
+    @pytest.mark.parametrize("n,m", [(18, 2), (2, 18), (15, 5), (10, 10)])
+    @pytest.mark.parametrize("shift", [0, 2])
+    def test_exact_matches_enumeration_on_full_pools(self, n, m, shift):
+        # n + m is the exact path's limit; a shift makes the first sample
+        # lopsided, so the observed sum sits in a tail
+        rng = random.Random(n * 100 + m * 10 + shift)
+        a = [rng.randint(shift, 4 + shift) / 2 for _ in range(n)]
+        b = [rng.randint(0, 4) / 2 for _ in range(m)]
+        assert len(set(a + b)) < n + m  # the pool has ties
+        assert wilcoxon_rank_sum(a, b) == pytest.approx(
+            enumeration_rank_sum_p(a, b), abs=1e-12
+        )
+
+    def test_packed_counts_match_the_list_dp_bit_for_bit(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            n = rng.randint(1, 19)
+            m = rng.randint(1, 20 - n)
+            lattice = rng.choice([2, 6, 1000])  # heavy ties to almost none
+            a = [rng.randint(0, lattice) for _ in range(n)]
+            b = [rng.randint(0, lattice) for _ in range(m)]
+            args = exact_arguments(a, b)
+            assert _exact_rank_sum_p(*args) == list_rank_sum_p(*args)
 
     def test_exact_and_approximate_agree_for_mid_sizes(self):
         rng = random.Random(7)
