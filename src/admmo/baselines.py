@@ -71,8 +71,8 @@ def _raw_target_tournament(
     """A mating pair; each parent is the better raw target of two uniform
     draws, ties flipping a coin."""
     def pick() -> Individual:
-        a = population[rng.randrange(len(population))]
-        b = population[rng.randrange(len(population))]
+        a = rng.choice(population)
+        b = rng.choice(population)
         if a.raw.f_t != b.raw.f_t:
             return a if a.raw.f_t < b.raw.f_t else b
         return a if rng.random() < 0.5 else b

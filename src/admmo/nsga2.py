@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import random
 
-from .mmo import Individual, dominates
+from .mmo import Individual
 from .space import BINARY, CATEGORICAL, ConfigSpace, Configuration
 
 
@@ -17,18 +17,28 @@ def nondominated_sort(pop: list[Individual]) -> list[list[Individual]]:
     """Fast nondominated sort on (g1, g2); writes ranks back.
 
     Front 0 is the nondominated set; every member of front i+1 is
-    dominated by at least one member of an earlier front.
+    dominated by at least one member of an earlier front. The pair loop is
+    Deb et al.'s O(n^2) one, with ``mmo.dominates`` inlined on local
+    floats: the order within each front is part of the output, since
+    crowding ties, duplicate representatives and tournament picks
+    follow it.
     """
     size = len(pop)
+    g = [(ind.g1, ind.g2) for ind in pop]
     dominated_by: list[list[int]] = [[] for _ in range(size)]
     domination_count = [0] * size
     current: list[int] = []
     for i in range(size):
+        a1, a2 = g[i]
+        beats = dominated_by[i]
         for j in range(i + 1, size):
-            if dominates(pop[i], pop[j]):
-                dominated_by[i].append(j)
-                domination_count[j] += 1
-            elif dominates(pop[j], pop[i]):
+            b1, b2 = g[j]
+            if a1 <= b1 and a2 <= b2:
+                # equal points dominate neither way
+                if a1 < b1 or a2 < b2:
+                    beats.append(j)
+                    domination_count[j] += 1
+            elif b1 <= a1 and b2 <= a2:
                 dominated_by[j].append(i)
                 domination_count[i] += 1
         if domination_count[i] == 0:
@@ -92,9 +102,7 @@ def binary_tournament(
 ) -> tuple[Individual, Individual]:
     """Pick a mating pair; each parent wins a tournament of two uniform draws."""
     def pick() -> Individual:
-        a = pop[rng.randrange(len(pop))]
-        b = pop[rng.randrange(len(pop))]
-        return tournament_winner(a, b, rng)
+        return tournament_winner(rng.choice(pop), rng.choice(pop), rng)
 
     return pick(), pick()
 
@@ -108,8 +116,9 @@ def uniform_crossover(
         return x, y
     left = list(x.values)
     right = list(y.values)
+    draw = rng.random
     for i in range(len(left)):
-        if rng.random() < 0.5:
+        if draw() < 0.5:
             left[i], right[i] = right[i], left[i]
     return Configuration(tuple(left)), Configuration(tuple(right))
 
@@ -121,19 +130,22 @@ def boundary_mutation(
 
     Integer genes jump to their domain's lo or hi with equal probability,
     binary genes flip, categorical genes move uniformly to another level.
+    A configuration no gene of which mutates is returned as it is.
     """
-    values = list(config.values)
+    draw = rng.random
+    values = None
     for i, opt in enumerate(space.options):
-        if rng.random() >= rate:
+        if draw() >= rate:
             continue
+        if values is None:
+            values = list(config.values)
         if opt.kind == BINARY:
             values[i] = 1 - values[i]
         elif opt.kind == CATEGORICAL:
-            others = [lvl for lvl in opt.levels if lvl != values[i]]
-            values[i] = others[rng.randrange(len(others))]
+            values[i] = rng.choice([lvl for lvl in opt.levels if lvl != values[i]])
         else:
-            values[i] = opt.lo if rng.random() < 0.5 else opt.hi
-    return Configuration(tuple(values))
+            values[i] = opt.lo if draw() < 0.5 else opt.hi
+    return config if values is None else Configuration(tuple(values))
 
 
 def fill_by_fronts(fronts: list[list[Individual]], capacity: int) -> list[Individual]:

@@ -85,13 +85,6 @@ class OptionSpec:
             return isinstance(value, int) and self.lo <= value <= self.hi
         return value in self.levels
 
-    def random_value(self, rng: random.Random) -> Any:
-        if self.kind == BINARY:
-            return rng.randrange(2)
-        if self.kind == INTEGER:
-            return rng.randint(self.lo, self.hi)
-        return self.levels[rng.randrange(len(self.levels))]
-
 
 @dataclass(frozen=True, slots=True)
 class Configuration:
@@ -125,9 +118,10 @@ class ConfigSpace:
     """An ordered, immutable collection of options."""
 
     options: tuple[OptionSpec, ...]
-    # built once for ``validate``: per option the values it may take (the
-    # very tuple ``OptionSpec.contains`` tests for binary and categorical
-    # options, a range for integer ones), and the integer options' positions
+    # built once for ``validate`` and ``random_config``: per option the
+    # values it may take (the very tuple ``OptionSpec.contains`` tests for
+    # binary and categorical options, a range for integer ones), and the
+    # integer options' positions
     _domains: tuple = field(init=False, compare=False, repr=False)
     _integer_positions: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
@@ -175,8 +169,9 @@ class ConfigSpace:
         return all(map(operator.contains, self._domains, values))
 
     def random_config(self, rng: random.Random) -> Configuration:
-        """Draw each component uniformly from its domain."""
-        return Configuration(tuple(opt.random_value(rng) for opt in self.options))
+        """Draw each component uniformly from its domain, one ``choice`` per
+        option: it draws the index that ``randrange``/``randint`` draw."""
+        return Configuration(tuple(map(rng.choice, self._domains)))
 
     def enumerate_all(self, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Configuration]:
         """All distinct configurations in lexicographic (domain) order.

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Callable, Iterator
 
-from .mmo import Individual, compute_meta_union, dominates, normalize_union
+from .mmo import Individual, compute_meta_union, normalize_union
 from .nsga2 import (
     binary_tournament,
     boundary_mutation,
@@ -231,17 +231,24 @@ def current_proportion(union: list[Individual]) -> Proportion:
 
     Counts the distinct configurations that no other one dominates, which
     is front 0 of a nondominated sort without the sort; ranks are left
-    untouched.
+    untouched. In two objectives that is one sweep over the first copy's
+    (g1, g2) of each configuration, sorted: nothing later in that order
+    can dominate a point, and something earlier does unless the point's
+    g2 is below every earlier g2, or equals the least of them with the
+    same g1 as the first point that reached it.
     """
-    unique, _ = split_duplicates(union)
+    seen: dict[Configuration, tuple[float, float]] = {}
+    for ind in union:
+        seen.setdefault(ind.config, (ind.g1, ind.g2))
     nondominated = 0
-    for ind in unique:
-        for other in unique:
-            if dominates(other, ind):
-                break
-        else:
+    best1 = best2 = math.inf
+    for g1, g2 in sorted(seen.values()):
+        if g2 < best2:
+            best1, best2 = g1, g2
             nondominated += 1
-    return Proportion(nondominated=nondominated, unique=len(unique))
+        elif g2 == best2 and g1 == best1:
+            nondominated += 1
+    return Proportion(nondominated=nondominated, unique=len(seen))
 
 
 def unique_nondominated_proportion(union: list[Individual], w: float) -> Proportion:

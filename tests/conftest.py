@@ -1,8 +1,10 @@
-"""Shared test helpers: hand-built individuals and the worked survival example."""
+"""Shared test helpers: hand-built individuals, the worked survival example
+and hypothesis strategies for unions and spaces."""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import strategies as st
 
 from admmo import ConfigSpace, Configuration, Individual, OptionSpec, PerfSample, compute_meta
 
@@ -78,3 +80,56 @@ def small_space() -> ConfigSpace:
             OptionSpec.categorical("mode", ("fast", "safe")),
         )
     )
+
+
+# Meta-objective values where exact float comparison decides: a 1/8 grid,
+# so equal g1 with different g2 is common, both signed zeros, and grid
+# values moved by an ulp or so.
+META_VALUES = st.sampled_from(
+    [k / 8 for k in range(9)] + [-0.0, 5e-17, 1e-16, 0.5 + 1.2e-16, 0.5 - 5.6e-17]
+) | st.floats(0, 1)
+# normalized objectives that round apart in g1 and g2 at some weights, as
+# (0.5, 0.0) and (0.5, 1e-16) do at w = 0.3
+NORMALIZED_VALUES = st.sampled_from([k / 8 for k in range(9)] + [5e-17, 1e-16, 2.2e-16])
+WEIGHTS = st.sampled_from([k / 10 for k in range(11)]) | st.floats(0, 1000)
+
+
+@st.composite
+def meta_unions(draw) -> list[Individual]:
+    """1 to 20 individuals with meta-objectives set, each a copy of one of
+    up to 8 configurations. Points are drawn directly or computed from
+    normalized objectives at a weight. Copies of a configuration usually
+    share its point, as measured duplicates do, and sometimes do not."""
+    if draw(st.booleans()):
+        points = draw(st.lists(st.tuples(META_VALUES, META_VALUES), min_size=1, max_size=8))
+    else:
+        w = draw(WEIGHTS)
+        normalized = draw(
+            st.lists(st.tuples(NORMALIZED_VALUES, NORMALIZED_VALUES), min_size=1, max_size=8)
+        )
+        points = [
+            (ind.g1, ind.g2)
+            for ind in (make_individual(0, f_t_norm=t, f_a_norm=a, w=w) for t, a in normalized)
+        ]
+    picks = draw(st.lists(st.integers(0, 7), min_size=1, max_size=20))
+    shared = draw(st.booleans())
+    return [
+        make_meta_individual(pick % len(points), *points[(pick if shared else i) % len(points)])
+        for i, pick in enumerate(picks)
+    ]
+
+
+@st.composite
+def mixed_spaces(draw) -> ConfigSpace:
+    """1 to 4 binary, integer or categorical options."""
+    options = []
+    for i in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["binary", "integer", "categorical"]))
+        if kind == "binary":
+            options.append(OptionSpec.binary(f"x{i}"))
+        elif kind == "integer":
+            lo = draw(st.integers(-2, 2))
+            options.append(OptionSpec.integer(f"x{i}", lo, lo + draw(st.integers(0, 3))))
+        else:
+            options.append(OptionSpec.categorical(f"x{i}", ("fast", "safe", "1")))
+    return ConfigSpace(tuple(options))

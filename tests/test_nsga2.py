@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from admmo import (
     ConfigSpace,
@@ -17,9 +19,11 @@ from admmo import (
     nsga2_survival,
     uniform_crossover,
 )
+from admmo.baselines import _raw_target_tournament
 from admmo.nsga2 import tournament_winner
+from admmo.space import BINARY, CATEGORICAL
 
-from conftest import make_meta_individual
+from conftest import make_individual, make_meta_individual, meta_unions, mixed_spaces
 
 
 def brute_force_fronts(pop):
@@ -34,6 +38,53 @@ def brute_force_fronts(pop):
         fronts.append(front)
         remaining = [ind for ind in remaining if ind not in front]
     return fronts
+
+
+def reference_nondominated_sort(pop):
+    """The sort as it was before dominance was inlined: ``dominates`` on
+    each ordered pair, the same peel. Its fronts, their order included,
+    and the ranks it writes are what ``nondominated_sort`` must give."""
+    size = len(pop)
+    dominated_by = [[] for _ in range(size)]
+    domination_count = [0] * size
+    current = []
+    for i in range(size):
+        for j in range(i + 1, size):
+            if dominates(pop[i], pop[j]):
+                dominated_by[i].append(j)
+                domination_count[j] += 1
+            elif dominates(pop[j], pop[i]):
+                dominated_by[j].append(i)
+                domination_count[i] += 1
+        if domination_count[i] == 0:
+            current.append(i)
+            pop[i].rank = 0
+    fronts = []
+    rank = 0
+    while current:
+        fronts.append([pop[i] for i in current])
+        nxt = []
+        for i in current:
+            for j in dominated_by[i]:
+                domination_count[j] -= 1
+                if domination_count[j] == 0:
+                    pop[j].rank = rank + 1
+                    nxt.append(j)
+        current = nxt
+        rank += 1
+    return fronts
+
+
+def assert_sorts_as_reference(pop):
+    for ind in pop:
+        ind.rank = None
+    expected = reference_nondominated_sort(pop)
+    expected_ranks = [ind.rank for ind in pop]
+    for ind in pop:
+        ind.rank = None
+    fronts = nondominated_sort(pop)
+    assert [list(map(id, f)) for f in fronts] == [list(map(id, f)) for f in expected]
+    assert [ind.rank for ind in pop] == expected_ranks
 
 
 class TestNondominatedSort:
@@ -63,6 +114,26 @@ class TestNondominatedSort:
             fast = nondominated_sort(list(pop))
             slow = brute_force_fronts(pop)
             assert [set(map(id, f)) for f in fast] == [set(map(id, f)) for f in slow]
+
+    @settings(max_examples=300)
+    @given(union=meta_unions())
+    def test_same_fronts_and_ranks_as_the_reference(self, union):
+        assert_sorts_as_reference(union)
+
+    @pytest.mark.parametrize("w", [k / 10 for k in range(11)])
+    def test_near_tie_pair_as_the_reference(self, w):
+        # at w=0.3 the pair's g1 round equal and g2 apart: one dominates
+        pop = [
+            make_individual(0, f_t_norm=0.5, f_a_norm=0.0, w=w),
+            make_individual(1, f_t_norm=0.5, f_a_norm=1e-16, w=w),
+        ]
+        assert_sorts_as_reference(pop)
+        assert_sorts_as_reference(pop[::-1])
+
+    def test_signed_zeros_are_equal_points(self):
+        pop = [make_meta_individual(0, 0.0, -0.0), make_meta_individual(1, -0.0, 0.0)]
+        assert [len(f) for f in nondominated_sort(pop)] == [2]
+        assert_sorts_as_reference(pop)
 
     def test_partition_sizes_sum_to_population(self):
         rng = random.Random(100)
@@ -123,6 +194,100 @@ class TestBinaryTournament:
         rng = random.Random(7)
         x, y = binary_tournament(pop, rng)
         assert x in pop and y in pop
+
+
+def indexed_tournament(pop, rng):
+    """Reference: ``binary_tournament`` drawing by ``randrange`` indices."""
+    def pick():
+        a = pop[rng.randrange(len(pop))]
+        b = pop[rng.randrange(len(pop))]
+        return tournament_winner(a, b, rng)
+
+    return pick(), pick()
+
+
+def indexed_raw_target_tournament(population, rng):
+    """Reference: the GA's tournament drawing by ``randrange`` indices."""
+    def pick():
+        a = population[rng.randrange(len(population))]
+        b = population[rng.randrange(len(population))]
+        if a.raw.f_t != b.raw.f_t:
+            return a if a.raw.f_t < b.raw.f_t else b
+        return a if rng.random() < 0.5 else b
+
+    return pick(), pick()
+
+
+class TestDrawEquivalence:
+    """The operators draw with ``rng.choice`` and copy a configuration only
+    once a gene mutates; they must pick and consume exactly what the
+    ``randrange``-indexed, always-copying versions did."""
+
+    @settings(max_examples=200)
+    @given(
+        keys=st.lists(
+            st.tuples(st.integers(0, 2), st.sampled_from([1.0, 2.0, math.inf]), st.integers(0, 3)),
+            min_size=1,
+            max_size=20,
+        ),
+        seed=st.integers(0, 2**32),
+    )
+    def test_tournaments_pick_and_draw_as_indexed(self, keys, seed):
+        pop = []
+        for i, (rank, crowding, f_t) in enumerate(keys):
+            ind = make_individual(i, f_t=float(f_t))
+            ind.rank, ind.crowding = rank, crowding
+            pop.append(ind)
+        for operator, reference in (
+            (binary_tournament, indexed_tournament),
+            (_raw_target_tournament, indexed_raw_target_tournament),
+        ):
+            rng, expected_rng = random.Random(seed), random.Random(seed)
+            for _ in range(5):
+                got, expected = operator(pop, rng), reference(pop, expected_rng)
+                assert got[0] is expected[0] and got[1] is expected[1]
+                assert rng.getstate() == expected_rng.getstate()
+
+    @staticmethod
+    def copying_mutation(config, rate, space, rng):
+        """Reference: the mutation as it was, copying ``values`` up front
+        and building a new configuration; also says whether a gene moved."""
+        values = list(config.values)
+        mutated = False
+        for i, opt in enumerate(space.options):
+            if rng.random() >= rate:
+                continue
+            mutated = True
+            if opt.kind == BINARY:
+                values[i] = 1 - values[i]
+            elif opt.kind == CATEGORICAL:
+                others = [lvl for lvl in opt.levels if lvl != values[i]]
+                values[i] = others[rng.randrange(len(others))]
+            else:
+                values[i] = opt.lo if rng.random() < 0.5 else opt.hi
+        return Configuration(tuple(values)), mutated
+
+    @settings(max_examples=200)
+    @given(
+        space=mixed_spaces(),
+        rate=st.sampled_from([0.0, 0.1, 0.5, 1.0]),
+        seed=st.integers(0, 2**32),
+    )
+    def test_mutation_and_crossover_draw_as_copying(self, space, rate, seed):
+        rng, expected_rng = random.Random(seed), random.Random(seed)
+        for _ in range(10):
+            x, y = space.random_config(rng), space.random_config(rng)
+            assert (x, y) == (space.random_config(expected_rng), space.random_config(expected_rng))
+            # crossover draws as it did, one rng.random per gene; run on both
+            # streams, it keeps them in step and gives the children to mutate
+            children = uniform_crossover(x, y, 0.9, rng)
+            assert children == uniform_crossover(x, y, 0.9, expected_rng)
+            for child in children:
+                got = boundary_mutation(child, rate, space, rng)
+                expected, mutated = self.copying_mutation(child, rate, space, expected_rng)
+                assert got.values == expected.values
+                assert (got is child) == (not mutated)
+                assert rng.getstate() == expected_rng.getstate()
 
 
 class TestUniformCrossover:

@@ -13,6 +13,9 @@ from hypothesis import strategies as st
 
 import admmo
 from admmo import ConfigSpace, Configuration, OptionSpec, SpaceTooLargeError
+from admmo.space import BINARY, INTEGER
+
+from conftest import mixed_spaces
 
 
 class TestOptionSpec:
@@ -84,21 +87,6 @@ def contains_every_value(space: ConfigSpace, values: tuple) -> bool:
     )
 
 
-@st.composite
-def mixed_spaces(draw):
-    options = []
-    for i in range(draw(st.integers(1, 4))):
-        kind = draw(st.sampled_from(["binary", "integer", "categorical"]))
-        if kind == "binary":
-            options.append(OptionSpec.binary(f"x{i}"))
-        elif kind == "integer":
-            lo = draw(st.integers(-2, 2))
-            options.append(OptionSpec.integer(f"x{i}", lo, lo + draw(st.integers(0, 3))))
-        else:
-            options.append(OptionSpec.categorical(f"x{i}", ("fast", "safe", "1")))
-    return ConfigSpace(tuple(options))
-
-
 ANY_VALUE = st.one_of(
     st.sampled_from([0, 1, 2, -1, True, False, 0.0, 1.0, 2.5, float("nan"), "fast", "safe", "1", None]),
     st.integers(-4, 6),
@@ -150,6 +138,29 @@ class TestRandomConfig:
     def test_random_configs_validate(self, small_space):
         rng = random.Random(9)
         assert all(small_space.validate(small_space.random_config(rng)) for _ in range(200))
+
+
+def drawn_per_option(space: ConfigSpace, rng: random.Random) -> Configuration:
+    """Reference: the per-option draws ``random_config`` made before it used
+    ``rng.choice``."""
+    values = []
+    for opt in space.options:
+        if opt.kind == BINARY:
+            values.append(rng.randrange(2))
+        elif opt.kind == INTEGER:
+            values.append(rng.randint(opt.lo, opt.hi))
+        else:
+            values.append(opt.levels[rng.randrange(len(opt.levels))])
+    return Configuration(tuple(values))
+
+
+@given(space=mixed_spaces(), seed=st.integers(0, 2**32), draws=st.integers(1, 8))
+@settings(max_examples=200)
+def test_random_config_draws_as_the_per_option_loop(space, seed, draws):
+    rng, reference = random.Random(seed), random.Random(seed)
+    for _ in range(draws):
+        assert space.random_config(rng).values == drawn_per_option(space, reference).values
+        assert rng.getstate() == reference.getstate()
 
 
 class TestEnumerate:

@@ -12,6 +12,7 @@ from admmo import (
     TunerState,
     adapt_weight,
     compute_meta_union,
+    dominates,
     nondominated_sort,
     nsga2_survival,
     partial_duplicate_survival,
@@ -25,7 +26,7 @@ from admmo import (
 )
 from admmo import tuner
 
-from conftest import make_individual, names_of
+from conftest import make_individual, meta_unions, names_of
 
 
 class TestTriggerProbability:
@@ -113,6 +114,41 @@ class TestProportion:
         unique, _ = tuner.split_duplicates(union)
         assert prop.unique == len(unique)
         assert prop.nondominated == len(nondominated_sort(unique)[0])
+
+
+def reference_proportion(union):
+    """p' as it was counted before the sweep: split off the duplicates,
+    then ask ``dominates`` of every ordered pair of the unique ones."""
+    unique, _ = tuner.split_duplicates(union)
+    nondominated = sum(
+        1 for ind in unique if not any(dominates(other, ind) for other in unique)
+    )
+    return tuner.Proportion(nondominated=nondominated, unique=len(unique))
+
+
+class TestProportionSweep:
+    @settings(max_examples=300)
+    @given(union=meta_unions())
+    def test_counts_as_every_pair(self, union):
+        assert tuner.current_proportion(union) == reference_proportion(union)
+
+    @pytest.mark.parametrize("w", [k / 10 for k in range(11)])
+    def test_near_tie_pair_counts_as_every_pair(self, w):
+        union = [
+            make_individual(0, f_t_norm=0.5, f_a_norm=0.0, w=w),
+            make_individual(1, f_t_norm=0.5, f_a_norm=1e-16, w=w),
+        ]
+        assert tuner.current_proportion(union) == reference_proportion(union)
+        assert tuner.current_proportion(union[::-1]) == reference_proportion(union[::-1])
+
+    def test_copies_count_at_their_first_point(self):
+        # a later copy of a configuration is not a point of its own
+        union = [
+            make_individual(0, f_t_norm=0.5, f_a_norm=0.5, w=1.0),
+            make_individual(1, f_t_norm=0.25, f_a_norm=0.5, w=1.0),
+            make_individual(0, f_t_norm=0.0, f_a_norm=0.0, w=1.0),
+        ]
+        assert tuner.current_proportion(union) == tuner.Proportion(nondominated=1, unique=2)
 
 
 def two_point_union():
