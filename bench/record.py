@@ -3,7 +3,8 @@
 Runs ``perfbench/run.py`` on every workload, untraced at each seed and
 traced at the first one, times the tier-1 test suite, and writes every
 metric with each run's ``correct`` flag, the CPU count, the Python version
-and the git head. From the root of a checkout:
+and the git head, marked dirty with a digest of the uncommitted diff when
+the tree is not clean. From the root of a checkout:
 
     python3 bench/record.py --out snapshot.json
     python3 bench/record.py --out /tmp/bench.json --seconds 1 --seeds 1
@@ -15,6 +16,7 @@ Standard library only: the benchmark runs as a separate command.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -58,9 +60,21 @@ def time_tier1() -> dict:
     }
 
 
-def git_head() -> str | None:
-    done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True)
-    return done.stdout.strip() if done.returncode == 0 else None
+def git_provenance() -> dict:
+    """The commit the checkout stands on and, when its tree is not clean,
+    ``dirty: true`` and the sha256 of ``git diff HEAD``: a record taken
+    before a commit measures HEAD plus that diff, not HEAD."""
+    def git(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run(["git", *args], cwd=ROOT, capture_output=True)
+
+    head = git("rev-parse", "HEAD")
+    if head.returncode != 0:
+        return {"git_head": None}
+    record = {"git_head": head.stdout.decode().strip(), "dirty": False}
+    if git("status", "--porcelain").stdout:
+        record["dirty"] = True
+        record["diff_sha256"] = hashlib.sha256(git("diff", "HEAD").stdout).hexdigest()
+    return record
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -83,7 +97,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"tier-1: {tier1['summary']} ({tier1['wall_s']} s)", file=sys.stderr)
 
     record = {
-        "git_head": git_head(),
+        **git_provenance(),
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
         "seconds": args.seconds,

@@ -12,19 +12,45 @@ import csv
 import json
 import shutil
 import sys
-from dataclasses import fields
+from importlib import import_module
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .baselines import run_optimizer
-from .harness import campaign_summary, run_campaign, run_id
-from .runspec import RunSpec, RunSpecError, load_runspec
-from .tuner import IterationRecord, TunerParams, TuningRun
 
-TRAJECTORY_FIELDS = ("run_id",) + tuple(f.name for f in fields(IterationRecord))
+if TYPE_CHECKING:
+    from .runspec import RunSpec
+    from .tuner import TunerParams, TuningRun
+
+# tune and bench import the tuner, the run-spec parser and the campaign
+# harness when they run, and report needs none of them. perfbench's tracer
+# looks these names up on this module, so they are served on first access.
+_LAZY = {
+    "load_runspec": "runspec",
+    "run_campaign": "harness",
+    "campaign_summary": "harness",
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_LAZY[name]}", __package__), name)
+
+
+# "run_id" plus the fields of tuner.IterationRecord, in order
+TRAJECTORY_FIELDS = ("run_id", "iteration", "b", "w", "p_prime", "o", "best_f_t_raw")
 CONVERGENCE_FIELDS = ("run_id", "measurement", "best_f_t_raw")
 CAMPAIGN_DIRS = ("trajectories", "convergence", "report")  # what bench and report write
 NOT_ACHIEVED_MARK = "✗"  # the "not achieved" cross in speedup tables
+
+
+def run_id(case_id: str, label: str, budget: int, rep: int) -> str:
+    """The id of one campaign run, which also names its output files.
+
+    It lives here rather than in the harness, which assigns it, so that
+    report can find a campaign's files without loading the tuner."""
+    return f"{case_id}__{label}__b{budget}__r{rep}"
 
 
 def _provenance(digest: str, seed: int) -> list[str]:
@@ -80,6 +106,8 @@ def _write_run_files(run: TuningRun, out_dir: Path, provenance: list[str]) -> No
 
 
 def _tuner_params(spec: RunSpec, budget: int, p: float) -> TunerParams:
+    from .tuner import TunerParams
+
     return TunerParams(
         budget=budget,
         population_size=spec.population_size,
@@ -90,6 +118,9 @@ def _tuner_params(spec: RunSpec, budget: int, p: float) -> TunerParams:
 def cmd_tune(args) -> int:
     """One optimizer, one budget, one seed; writes the best found and the
     trajectory."""
+    from .baselines import run_optimizer
+    from .runspec import load_runspec
+
     spec = load_runspec(args.spec)
     case = spec.cases[0]
     optimizer = _select_optimizer(spec, args.optimizer)
@@ -128,6 +159,8 @@ def cmd_tune(args) -> int:
 
 def _select_optimizer(spec: RunSpec, label: str | None):
     """The optimizer with this label, else the first of this kind."""
+    from .runspec import RunSpecError
+
     if label is None:
         return spec.optimizers[0]
     for opt in spec.optimizers:
@@ -147,6 +180,9 @@ def cmd_bench(args) -> int:
     if args.jobs < 1:
         print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
         return 2
+    from .harness import campaign_summary, run_campaign
+    from .runspec import RunSpecError, load_runspec
+
     spec = load_runspec(args.spec)
     repeats = args.repeats if args.repeats is not None else spec.repeats
     seed = args.seed if args.seed is not None else spec.seed
@@ -347,12 +383,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except RunSpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (OSError, ValueError) as exc:
+        from .runspec import RunSpecError
+
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, RunSpecError) else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

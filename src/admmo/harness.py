@@ -14,26 +14,29 @@ fixed number of seeded repeats, then summarizes:
 
 from __future__ import annotations
 
+import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from .baselines import run_optimizer
-from .oracles import MeasurementOracle
-from .space import ConfigSpace
+from .cli import run_id
+from .runspec import BenchCase
 from .stats import a12, classify_effect, wilcoxon_rank_sum
 from .tuner import OptimizerSpec, TunerParams, TuningRun
 
 
-@dataclass(frozen=True)
-class BenchCase:
-    """One system-objective pair: a space plus its measurement source."""
+def __getattr__(name: str):
+    # The pool class is imported on first use: concurrent.futures.process
+    # would cost every process that never starts a pool about 18 ms. It is
+    # then kept as a module attribute, which callers may replace.
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
 
-    case_id: str
-    space: ConfigSpace
-    oracle: MeasurementOracle
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -52,11 +55,6 @@ class CaseResult:
     @property
     def labels(self) -> list[str]:
         return list(self.runs.keys())
-
-
-def run_id(case_id: str, label: str, budget: int, rep: int) -> str:
-    """The id of one campaign run, which also names its output files."""
-    return f"{case_id}__{label}__b{budget}__r{rep}"
 
 
 # The case this process is running. Each pool worker receives it once,
@@ -108,7 +106,7 @@ def run_campaign(
         rid = None
         _set_case(case)
         try:
-            with ProcessPoolExecutor(
+            with sys.modules[__name__].ProcessPoolExecutor(
                 max_workers=jobs, initializer=_set_case, initargs=(case,)
             ) if jobs > 1 else nullcontext() as pool:
                 outcomes = pool.map(_one_run, tasks) if pool else map(_one_run, tasks)

@@ -205,13 +205,17 @@ def load_table(
     t_index = n + objective_cols.index(target_column)
     a_index = n + objective_cols.index(auxiliary_column)
 
+    t_sign, a_sign = orientation.apply(1.0, 1.0)
     rows: dict[Configuration, PerfSample] = {}
     first_seen: dict[Configuration, int] = {}
     # per option column, the value of each cell text parsed so far; only
-    # parses that succeeded are kept, so a bad cell fails on its own line
+    # parses that succeeded are kept, so a bad cell fails on its own line.
+    # Cells are not stripped: int, float and the level lookup in
+    # _parse_option_value ignore surrounding whitespace, so a padded text
+    # is only one more key here.
     parsed: list[dict[str, object]] = [{} for _ in range(n)]
     for line_no, line in data_lines[1:]:
-        cells = [c.strip() for c in line.split(delimiter)]
+        cells = line.split(delimiter)
         if len(cells) != n + 2:
             raise TableFormatError(
                 f"line {line_no}: expected {n + 2} columns, got {len(cells)}"
@@ -232,7 +236,7 @@ def load_table(
             raise TableFormatError(f"line {line_no}: non-numeric objective value") from None
         if not (math.isfinite(f_t) and math.isfinite(f_a)):
             raise TableFormatError(f"line {line_no}: non-finite objective value")
-        sample = PerfSample(*orientation.apply(f_t, f_a))
+        sample = PerfSample(t_sign * f_t, a_sign * f_a)
         if config in rows:
             if rows[config] != sample:
                 raise TableFormatError(

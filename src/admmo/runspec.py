@@ -8,17 +8,26 @@ See the README for the full schema and an annotated example.
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .harness import BenchCase
-from .oracles import ObjectiveOrientation, load_table, synthetic_landscape
+from .oracles import MeasurementOracle, ObjectiveOrientation, load_table, synthetic_landscape
 from .space import ConfigSpace, OptionSpec
 from .tuner import OptimizerSpec
 
 
 class RunSpecError(ValueError):
     """Raised for unparsable or inconsistent run specifications."""
+
+
+@dataclass(frozen=True)
+class BenchCase:
+    """One system-objective pair: a space plus its measurement source."""
+
+    case_id: str
+    space: ConfigSpace
+    oracle: MeasurementOracle
 
 
 @dataclass(frozen=True)
@@ -157,19 +166,29 @@ def _parse_optimizer(entry: dict | str, index: int) -> OptimizerSpec:
         raise RunSpecError(f"optimizer #{index}: {exc}") from None
 
 
-def load_runspec(path: str | Path) -> RunSpec:
-    """Parse, validate, and resolve a run-spec file."""
+def _parse_document(raw: bytes, path: Path):
+    """The document in ``raw``: JSON if it is JSON, else YAML, whose parser
+    is imported only then."""
+    try:
+        return json.loads(raw)
+    except ValueError:  # not JSON, or not even UTF-8 text
+        pass
     import yaml
 
+    try:
+        return yaml.safe_load(raw)
+    except yaml.YAMLError as exc:
+        raise RunSpecError(f"{path}: not valid YAML: {exc}") from None
+
+
+def load_runspec(path: str | Path) -> RunSpec:
+    """Parse, validate, and resolve a run-spec file."""
     path = Path(path)
     if not path.exists():
         raise RunSpecError(f"run-spec file not found: {path}")
     raw = path.read_bytes()
     digest = hashlib.sha256(raw).hexdigest()
-    try:
-        doc = yaml.safe_load(raw)
-    except yaml.YAMLError as exc:
-        raise RunSpecError(f"{path}: not valid YAML: {exc}") from None
+    doc = _parse_document(raw, path)
     if not isinstance(doc, dict):
         raise RunSpecError(f"{path}: expected a mapping at the top level")
 

@@ -1,5 +1,7 @@
 """CLI tests: run-spec parsing, tune/bench/report round trips, provenance."""
 
+import dataclasses
+import importlib
 import json
 import os
 import subprocess
@@ -10,8 +12,10 @@ import pytest
 import yaml
 
 import admmo
+from admmo import cli
 from admmo.cli import main
 from admmo.runspec import RunSpecError, load_runspec
+from admmo.tuner import IterationRecord
 
 TABLE = """\
 # sixteen measured configurations
@@ -69,6 +73,8 @@ def spec_dir(tmp_path):
 
 class TestRunSpec:
     def test_loads_and_validates(self, spec_dir):
+        with pytest.raises(ValueError):  # YAML that is no JSON
+            json.loads((spec_dir / "spec.yaml").read_text())
         spec = load_runspec(spec_dir / "spec.yaml")
         assert spec.cases[0].case_id == "demo-system"
         assert [o.label for o in spec.optimizers] == ["rs", "admmo"]
@@ -131,6 +137,35 @@ class TestRunSpec:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert named in err
+
+    def test_json_spec_equals_its_yaml_twin(self, spec_dir):
+        doc = yaml.safe_load((spec_dir / "spec.yaml").read_text())
+        doc = {
+            "cases": [
+                {key: doc.pop(key) for key in ("id", "space", "oracle")},
+                {"id": "nk", "oracle": {"kind": "synthetic", "n_options": 5,
+                                        "domain_sizes": [2, 3, 2, 2, 4], "k": 2, "seed": 3}},
+            ],
+            **doc,
+        }
+        (spec_dir / "twin.yaml").write_text(yaml.safe_dump(doc))
+        (spec_dir / "twin.json").write_text(json.dumps(doc, indent=2))
+        from_yaml = load_runspec(spec_dir / "twin.yaml")
+        from_json = load_runspec(spec_dir / "twin.json")
+        assert from_json.digest != from_yaml.digest
+        assert dataclasses.replace(from_json, digest="") == dataclasses.replace(from_yaml, digest="")
+
+    @pytest.mark.parametrize("text", ["budgets: [8, 12\n", '{"budgets": [8,\n', "a: b: c\n"])
+    def test_broken_spec_is_not_valid_yaml(self, tmp_path, text):
+        (tmp_path / "spec.yaml").write_text(text)
+        with pytest.raises(RunSpecError, match="spec.yaml: not valid YAML"):
+            load_runspec(tmp_path / "spec.yaml")
+
+    def test_bad_table_exits_1(self, spec_dir, capsys):
+        # a table error is a ValueError but no RunSpecError
+        (spec_dir / "table.csv").write_text(TABLE + "1,1,1,1,fast,1.0\n")
+        assert main(["bench", str(spec_dir / "spec.yaml")]) == 1
+        assert capsys.readouterr().err.startswith("error: line 19: non-numeric objective value")
 
     def test_synthetic_oracle_builds_its_space(self, tmp_path):
         (tmp_path / "spec.yaml").write_text(
@@ -342,27 +377,82 @@ class TestReport:
 
 
 class TestImports:
-    def loaded_after(self, cwd, *args):
-        """Which of numpy and yaml a fresh interpreter holds after importing
-        ``admmo.cli`` and, given ``args``, running ``main(args)``."""
+    # numpy is for NK landscapes, yaml for run-specs that are not JSON and
+    # concurrent.futures.process for --jobs above 1: importing any of them at
+    # module level costs every campaign process their load time
+    WATCHED = {"numpy", "yaml", "concurrent.futures.process"}
+
+    def run_python(self, cwd, code: str) -> str:
+        """The last line ``code`` prints in a fresh interpreter."""
         src = str(Path(admmo.__file__).resolve().parents[1])
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        script = (
-            "import sys\n"
-            "from admmo import cli\n"
-            "assert not sys.argv[1:] or cli.main(sys.argv[1:]) == 0\n"
-            "print(sorted({'numpy', 'yaml'} & set(sys.modules)))\n"
-        )
         done = subprocess.run(
-            [sys.executable, "-c", script, *args], cwd=cwd, env=env,
+            [sys.executable, "-c", code], cwd=cwd, env=env,
             capture_output=True, text=True, check=True,
         )
         return done.stdout.splitlines()[-1]
 
+    def loaded_after(self, cwd, *args) -> set[str]:
+        """Which admmo submodules and WATCHED modules a fresh interpreter
+        holds after importing ``admmo.cli`` and, given ``args``, running
+        ``main(args)``."""
+        code = (
+            "import json, sys\n"
+            "from admmo import cli\n"
+            f"assert not {list(args)!r} or cli.main({list(args)!r}) == 0\n"
+            f"print(json.dumps([m for m in sys.modules if m in {sorted(self.WATCHED)!r} "
+            "or m.startswith('admmo.')]))\n"
+        )
+        return set(json.loads(self.run_python(cwd, code)))
+
     def test_table_commands_leave_numpy_unloaded(self, spec_dir):
-        # numpy is for NK landscapes and yaml for run-specs: importing either
-        # at module level costs every campaign process their load time
-        assert self.loaded_after(spec_dir) == "[]"
-        assert self.loaded_after(spec_dir, "bench", "spec.yaml") == "['yaml']"
-        assert self.loaded_after(spec_dir, "report", "campaign") == "[]"
+        assert self.loaded_after(spec_dir) == {"admmo.cli"}
+        loaded = self.loaded_after(spec_dir, "bench", "spec.yaml")
+        assert "yaml" in loaded and "numpy" not in loaded
+        assert self.loaded_after(spec_dir, "report", "campaign") == {"admmo.cli"}
+
+    def test_json_spec_is_read_without_yaml(self, spec_dir):
+        doc = yaml.safe_load((spec_dir / "spec.yaml").read_text())
+        (spec_dir / "spec.json").write_text(json.dumps(doc))
+        loaded = self.loaded_after(spec_dir, "bench", "spec.json")
+        assert "admmo.runspec" in loaded
+        assert not loaded & self.WATCHED
+
+    def test_tune_starts_no_pool_machinery(self, spec_dir):
+        loaded = self.loaded_after(spec_dir, "tune", "spec.yaml")
+        assert {"admmo.tuner", "yaml"} <= loaded
+        assert not loaded & {"admmo.harness", "concurrent.futures.process", "numpy"}
+
+    def test_import_admmo_loads_no_submodule(self, tmp_path):
+        code = "import sys, admmo\nprint(sorted(m for m in sys.modules if m.startswith('admmo.')))"
+        assert self.run_python(tmp_path, code) == "[]"
+
+    def test_hooks_resolve_by_name(self, tmp_path):
+        # perfbench's tracer looks these up, then swaps them, by name
+        code = (
+            "import concurrent.futures\n"
+            "from admmo import cli, harness, runspec\n"
+            "print([\n"
+            "    cli.load_runspec is runspec.load_runspec,\n"
+            "    cli.run_campaign is harness.run_campaign,\n"
+            "    cli.campaign_summary is harness.campaign_summary,\n"
+            "    harness.run_id is cli.run_id,\n"
+            "    harness.BenchCase is runspec.BenchCase,\n"
+            "    harness.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor,\n"
+            "])"
+        )
+        assert self.run_python(tmp_path, code) == str([True] * 6)
+
+    def test_every_public_name_is_its_submodules_object(self):
+        assert len(set(admmo.__all__)) == len(admmo.__all__)
+        assert set(admmo.__all__) <= set(dir(admmo))
+        for name in admmo.__all__:
+            value = getattr(admmo, name)
+            assert value is getattr(importlib.import_module(value.__module__), name), name
+        with pytest.raises(AttributeError):
+            admmo.no_such_name
+
+    def test_trajectory_fields_are_the_iteration_record(self):
+        expected = ("run_id",) + tuple(f.name for f in dataclasses.fields(IterationRecord))
+        assert cli.TRAJECTORY_FIELDS == expected

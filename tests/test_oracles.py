@@ -205,6 +205,44 @@ class TestLoadTable(object):
         with pytest.raises(TableFormatError, match="line 3: conflicting duplicate of line 2"):
             load_table(self.write(tmp_path, clash), space, "t", "a")
 
+    def test_padded_cells_and_crlf_read_as_the_plain_table(self, tmp_path):
+        space = ConfigSpace(
+            (OptionSpec.integer("threads", 1, 4), OptionSpec.categorical("mode", ("fast", "safe")))
+        )
+        plain = "threads,mode,t,a\n1,fast,5.0,1.0\n2,safe,-6.5,2.0\n1,safe,7.0,3.0\n"
+        padded = (
+            " threads ,\tmode, t ,a\t\r\n"
+            "  # a padded comment\r\n"
+            "1 ,\tfast ,  5.0\t, 1.0\r\n"
+            "\t2, safe,-6.5 ,2.0 \r\n"
+            "1,safe\t,\t7.0,3.0\r\n"
+            " 1 , fast , 5.0 , 1.0 \r\n"
+        )
+        (tmp_path / "padded.csv").write_bytes(padded.encode())
+        orientation = ObjectiveOrientation(t_maximize=True)
+        expected = load_table(self.write(tmp_path, plain), space, "t", "a", orientation)
+        table = load_table(tmp_path / "padded.csv", space, "t", "a", orientation)
+        assert list(table.rows.items()) == list(expected.rows.items())
+        assert table.rows[Configuration((2, "safe"))] == PerfSample(6.5, 2.0)
+
+    @pytest.mark.parametrize(
+        "row,message",
+        [
+            (" 9 ,\tfast,6.0,1.0", "line 4: value 9 out of range for option 'threads'"),
+            ("2 , turbo\t,6.0,1.0", "line 4: 'turbo' is not a level of option 'mode'"),
+            ("\ttwo , fast,6.0,1.0", "line 4: 'two' is not an integer for option 'threads'"),
+            (" 2 , fast , bad ,1.0", "line 4: non-numeric objective value"),
+        ],
+    )
+    def test_bad_padded_cell_names_its_own_line(self, tmp_path, row, message):
+        space = ConfigSpace(
+            (OptionSpec.integer("threads", 1, 4), OptionSpec.categorical("mode", ("fast", "safe")))
+        )
+        text = f"threads,mode,t,a\r\n2,fast,5.0,1.0\r\n 2 , fast ,5.0,1.0\r\n{row}\r\n"
+        with pytest.raises(TableFormatError) as raised:
+            load_table(self.write(tmp_path, text), space, "t", "a")
+        assert str(raised.value) == message
+
     def test_non_numeric_objective_names_line(self, tmp_path):
         path = self.write(tmp_path, "cache,mode,t,a\n0,fast,bad,1.0\n")
         with pytest.raises(TableFormatError, match="line 2"):
