@@ -105,41 +105,51 @@ def _write_run_files(run: TuningRun, out_dir: Path, provenance: list[str]) -> No
     )
 
 
-def _tuner_params(spec: RunSpec, budget: int, p: float) -> TunerParams:
+def _tuner_params(spec: RunSpec, budget: int) -> TunerParams:
     from .tuner import TunerParams
 
-    return TunerParams(
-        budget=budget,
-        population_size=spec.population_size,
-        target_proportion=p,
-    )
+    return TunerParams(budget, spec.population_size, spec.p)
 
 
-def cmd_tune(args) -> int:
-    """One optimizer, one budget, one seed; writes the best found and the
-    trajectory."""
-    from .baselines import run_optimizer
+def _spec_with_flags(args) -> RunSpec:
+    """The run-spec with the command's flags applied; ``replace`` checks a
+    flag as ``load_runspec`` checks the file value it stands in for."""
+    from dataclasses import replace
+
     from .runspec import load_runspec
 
     spec = load_runspec(args.spec)
+    flags = vars(args)  # tune has no --repeats
+    overrides = {key: flags[key] for key in ("repeats", "seed", "p") if flags.get(key) is not None}
+    if args.budget is not None:
+        overrides["budgets"] = (args.budget,)
+    if args.optimizer is not None:
+        overrides["optimizers"] = (spec.select_optimizer(args.optimizer),)
+    return replace(spec, **overrides)
+
+
+def cmd_tune(args) -> int:
+    """The first case's first optimizer at the first budget; writes the
+    best found and the trajectory."""
+    from .baselines import run_optimizer
+
+    spec = _spec_with_flags(args)
     case = spec.cases[0]
-    optimizer = _select_optimizer(spec, args.optimizer)
-    budget = args.budget if args.budget is not None else spec.budgets[0]
-    seed = args.seed if args.seed is not None else spec.seed
-    p = args.p if args.p is not None else spec.p
+    optimizer = spec.optimizers[0]
+    budget = spec.budgets[0]
     out_dir = Path(args.out) if args.out else spec.output_dir / "tune"
 
-    params = _tuner_params(spec, budget, p)
-    run_id = f"{case.case_id}__{optimizer.label}__b{budget}__s{seed}"
-    run = run_optimizer(optimizer, case.space, case.oracle, params, seed, run_id=run_id)
+    params = _tuner_params(spec, budget)
+    run_id = f"{case.case_id}__{optimizer.label}__b{budget}__s{spec.seed}"
+    run = run_optimizer(optimizer, case.space, case.oracle, params, spec.seed, run_id=run_id)
 
-    provenance = _provenance(spec.digest, seed)
+    provenance = _provenance(spec.digest, spec.seed)
     _write_run_files(run, out_dir, provenance)
     best = {
         "run_id": run.run_id,
         "case": case.case_id,
         "optimizer": optimizer.label,
-        "seed": seed,
+        "seed": spec.seed,
         "budget": budget,
         "measurements_used": run.measurements_used,
         "best_configuration": dict(zip(case.space.option_names, run.best_config.values)),
@@ -157,23 +167,6 @@ def cmd_tune(args) -> int:
     return 0
 
 
-def _select_optimizer(spec: RunSpec, label: str | None):
-    """The optimizer with this label, else the first of this kind."""
-    from .runspec import RunSpecError
-
-    if label is None:
-        return spec.optimizers[0]
-    for opt in spec.optimizers:
-        if opt.label == label:
-            return opt
-    for opt in spec.optimizers:
-        if opt.kind == label:
-            return opt
-    raise RunSpecError(
-        f"optimizer {label!r} not in spec (have: {[o.label for o in spec.optimizers]})"
-    )
-
-
 def cmd_bench(args) -> int:
     """Full campaign: every optimizer x case x budget x repeat, plus the
     statistics summary."""
@@ -181,18 +174,8 @@ def cmd_bench(args) -> int:
         print(f"error: --jobs must be at least 1, got {args.jobs}", file=sys.stderr)
         return 2
     from .harness import campaign_summary, run_campaign
-    from .runspec import RunSpecError, load_runspec
 
-    spec = load_runspec(args.spec)
-    repeats = args.repeats if args.repeats is not None else spec.repeats
-    seed = args.seed if args.seed is not None else spec.seed
-    p = args.p if args.p is not None else spec.p
-    budgets = (args.budget,) if args.budget is not None else spec.budgets
-    optimizers = spec.optimizers
-    if args.optimizer is not None:
-        optimizers = (_select_optimizer(spec, args.optimizer),)
-    if any(b < spec.population_size for b in budgets):
-        raise RunSpecError("every budget must be at least the population size")
+    spec = _spec_with_flags(args)
     out_dir = Path(args.out) if args.out else spec.output_dir
 
     if out_dir.exists() and any(out_dir.iterdir()) and not args.force:
@@ -202,14 +185,13 @@ def cmd_bench(args) -> int:
         )
         return 2
 
-    params = _tuner_params(spec, max(budgets), p)
     results = run_campaign(
         spec.cases,
-        optimizers,
-        budgets,
-        repeats,
-        base_seed=seed,
-        params=params,
+        spec.optimizers,
+        spec.budgets,
+        spec.repeats,
+        base_seed=spec.seed,
+        params=_tuner_params(spec, max(spec.budgets)),
         jobs=args.jobs,
     )
 
@@ -217,7 +199,7 @@ def cmd_bench(args) -> int:
     for name in CAMPAIGN_DIRS:
         shutil.rmtree(out_dir / name, ignore_errors=True)
     (out_dir / "summary.json").unlink(missing_ok=True)
-    provenance = _provenance(spec.digest, seed)
+    provenance = _provenance(spec.digest, spec.seed)
     for case_result in results:
         for per_budget in case_result.runs.values():
             for runs in per_budget.values():
@@ -227,10 +209,10 @@ def cmd_bench(args) -> int:
     summary = campaign_summary(results)
     summary["artifact_version"] = __version__
     summary["spec_digest"] = f"sha256:{spec.digest}"
-    summary["base_seed"] = seed
-    summary["p"] = p
-    summary["repeats"] = repeats
-    summary["budgets"] = [int(b) for b in budgets]
+    summary["base_seed"] = spec.seed
+    summary["p"] = spec.p
+    summary["repeats"] = spec.repeats
+    summary["budgets"] = list(spec.budgets)
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
@@ -263,6 +245,7 @@ def cmd_report(args) -> int:
 
     performance_rows = []
     speedup_rows = []
+    reference = None  # the optimizer the case entries' speedups are against
     for case_id, entry in sorted(cases.items()):
         if "error" in entry:
             continue
@@ -278,6 +261,7 @@ def cmd_report(args) -> int:
                 mark = "*" if value <= best_per_budget[str(b)] else ""
                 row.append(f"{value:.4f}{mark}")
             performance_rows.append(row)
+        reference = entry.get("speedup_reference", reference)
         for label, value in sorted(entry.get("speedup", {}).items()):
             speedup_rows.append(
                 [case_id, label, NOT_ACHIEVED_MARK if value is None else f"{value:.3g}"]
@@ -311,8 +295,7 @@ def cmd_report(args) -> int:
     for row in performance_rows:
         print("  " + "  ".join(str(c) for c in row))
     if speedup_rows:
-        print(f"speedup vs {summary.get('speedup_reference', 'admmo')} "
-              f"({NOT_ACHIEVED_MARK} = not achieved):")
+        print(f"speedup vs {reference} ({NOT_ACHIEVED_MARK} = not achieved):")
         for row in speedup_rows:
             print("  " + "  ".join(str(c) for c in row))
     print(f"report written to {report_dir}")
@@ -383,9 +366,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, LookupError) as exc:
+        from .oracles import UnmeasuredConfigurationError
         from .runspec import RunSpecError
 
+        if isinstance(exc, LookupError) and not isinstance(exc, UnmeasuredConfigurationError):
+            raise
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, RunSpecError) else 1
 

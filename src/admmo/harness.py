@@ -26,6 +26,8 @@ from .runspec import BenchCase
 from .stats import a12, classify_effect, wilcoxon_rank_sum
 from .tuner import OptimizerSpec, TunerParams, TuningRun
 
+SPEEDUP_REFERENCE = "admmo"  # campaign_summary's speedups are against this optimizer
+
 
 def __getattr__(name: str):
     # The pool class is imported on first use: concurrent.futures.process
@@ -225,9 +227,7 @@ def pairwise_comparisons(case: CaseResult) -> list[PairwiseComparison]:
     return out
 
 
-def campaign_summary(
-    results: Sequence[CaseResult], reference_label: str = "admmo"
-) -> dict:
+def campaign_summary(results: Sequence[CaseResult]) -> dict:
     """A JSON-ready digest: normalized means, pairwise stats, speedups."""
     summary: dict = {"cases": {}}
     for case in results:
@@ -260,14 +260,14 @@ def campaign_summary(
                 for c in pairwise_comparisons(case)
             ],
         }
-        if reference_label in case.runs:
+        if SPEEDUP_REFERENCE in case.runs:
             top_budget = max(case.budgets)
-            reference_runs = case.runs[reference_label][top_budget]
-            entry["speedup_reference"] = reference_label
+            reference_runs = case.runs[SPEEDUP_REFERENCE][top_budget]
+            entry["speedup_reference"] = SPEEDUP_REFERENCE
             entry["speedup"] = {
                 label: speedup(per_budget[top_budget], reference_runs, top_budget)
                 for label, per_budget in case.runs.items()
-                if label != reference_label
+                if label != SPEEDUP_REFERENCE
             }
         summary["cases"][case.case_id] = entry
     return summary

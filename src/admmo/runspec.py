@@ -44,6 +44,30 @@ class RunSpec:
     output_dir: Path
     digest: str
 
+    def __post_init__(self) -> None:
+        # the range checks; dataclasses.replace runs them again, so a
+        # command-line override is checked as its file value would be
+        if self.population_size < 2:
+            raise RunSpecError("'population_size' must be at least 2")
+        if any(b < self.population_size for b in self.budgets):
+            raise RunSpecError("every budget must be at least the population size")
+        if self.repeats < 1:
+            raise RunSpecError("repeats must be positive")
+        if not 0 < self.p <= 1:
+            raise RunSpecError("p must lie in (0, 1]")
+
+    def select_optimizer(self, label: str) -> OptimizerSpec:
+        """The optimizer with this label, else the first of this kind."""
+        for opt in self.optimizers:
+            if opt.label == label:
+                return opt
+        for opt in self.optimizers:
+            if opt.kind == label:
+                return opt
+        raise RunSpecError(
+            f"optimizer {label!r} not in spec (have: {[o.label for o in self.optimizers]})"
+        )
+
 
 def _number(value, key: str, kind: type[int] | type[float]):
     """``value`` as an int or a float, or a RunSpecError that names ``key``.
@@ -216,17 +240,6 @@ def load_runspec(path: str | Path) -> RunSpec:
     budgets = doc.get("budgets")
     if not isinstance(budgets, list) or not budgets:
         raise RunSpecError("run-spec needs a nonempty 'budgets' list")
-    budgets = tuple(_number(b, "budgets", int) for b in budgets)
-    population_size = _number(doc.get("population_size", 10), "population_size", int)
-    if any(b < population_size for b in budgets):
-        raise RunSpecError("every budget must be at least the population size")
-
-    repeats = _number(doc.get("repeats", 1), "repeats", int)
-    if repeats < 1:
-        raise RunSpecError("repeats must be positive")
-    p = _number(doc.get("p", 0.3), "p", float)
-    if not 0 < p <= 1:
-        raise RunSpecError("p must lie in (0, 1]")
 
     output_dir = Path(doc.get("output_dir", "out"))
     if not output_dir.is_absolute():
@@ -235,11 +248,11 @@ def load_runspec(path: str | Path) -> RunSpec:
     return RunSpec(
         cases=cases,
         optimizers=optimizers,
-        budgets=budgets,
-        repeats=repeats,
+        budgets=tuple(_number(b, "budgets", int) for b in budgets),
+        population_size=_number(doc.get("population_size", 10), "population_size", int),
+        repeats=_number(doc.get("repeats", 1), "repeats", int),
+        p=_number(doc.get("p", 0.3), "p", float),
         seed=_number(doc.get("seed", 0), "seed", int),
-        p=p,
-        population_size=population_size,
         output_dir=output_dir,
         digest=digest,
     )

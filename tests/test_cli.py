@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,8 @@ from admmo import cli
 from admmo.cli import main
 from admmo.runspec import RunSpecError, load_runspec
 from admmo.tuner import IterationRecord
+
+DEMO_DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
 
 TABLE = """\
 # sixteen measured configurations
@@ -126,6 +129,10 @@ class TestRunSpec:
                 {"kind": "synthetic", "n_options": 4, "domain_sizes": 2.9, "k": 2, "seed": 3},
                 "'oracle.domain_sizes'",
             ),
+            ("population_size", 1, "'population_size' must be at least 2"),
+            ("p", 1.5, "p must lie in (0, 1]"),
+            ("repeats", 0, "repeats must be positive"),
+            ("budgets", [3], "every budget must be at least the population size"),
         ],
     )
     def test_malformed_entry_exits_2_naming_the_key(self, spec_dir, capsys, key, value, named):
@@ -137,6 +144,29 @@ class TestRunSpec:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert named in err
+
+    @pytest.mark.parametrize(
+        "command, flags, key, value",
+        [
+            ("tune", ["--p", "1.5"], "p", 1.5),
+            ("bench", ["--p", "1.5"], "p", 1.5),
+            ("bench", ["--repeats", "0"], "repeats", 0),
+            ("tune", ["--budget", "3"], "budgets", [3]),
+            ("tune", ["--optimizer", "rs", "--budget", "3"], "budgets", [3]),
+            ("bench", ["--budget", "3"], "budgets", [3]),
+        ],
+    )
+    def test_bad_flag_fails_as_its_file_value(self, spec_dir, capsys, command, flags, key, value):
+        path = spec_dir / "spec.yaml"
+        assert main([command, str(path), *flags]) == 2
+        from_flag = capsys.readouterr().err
+        doc = yaml.safe_load(path.read_text())
+        doc[key] = value
+        path.write_text(yaml.safe_dump(doc))
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err == from_flag
+        assert from_flag.startswith("error: ") and flags[-2].lstrip("-") in from_flag
+        assert not (spec_dir / "campaign").exists()
 
     def test_json_spec_equals_its_yaml_twin(self, spec_dir):
         doc = yaml.safe_load((spec_dir / "spec.yaml").read_text())
@@ -233,6 +263,35 @@ class TestTune:
         for rel in files_a:
             assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes()
 
+    def test_flags_equal_an_edited_spec(self, spec_dir):
+        path = spec_dir / "spec.yaml"
+        flags = ["--p", "0.5", "--budget", "16", "--optimizer", "admmo", "--seed", "7"]
+        assert main(["tune", str(path), *flags, "--out", str(spec_dir / "flags")]) == 0
+        doc = yaml.safe_load(path.read_text())
+        doc.update(p=0.5, budgets=[16], optimizers=[{"kind": "admmo"}], seed=7)
+        (spec_dir / "edited.yaml").write_text(yaml.safe_dump(doc))
+        assert main(["tune", str(spec_dir / "edited.yaml"), "--out", str(spec_dir / "edited")]) == 0
+        from_flags = json.loads((spec_dir / "flags" / "best.json").read_text())
+        from_file = json.loads((spec_dir / "edited" / "best.json").read_text())
+        assert from_flags.pop("spec_digest") != from_file.pop("spec_digest")
+        assert from_flags == from_file
+        assert from_flags["run_id"] == "demo-system__admmo__b16__s7"
+        for sub in ("trajectories", "convergence"):
+            # the files differ only in their spec_digest provenance line
+            name = f"{sub}/demo-system__admmo__b16__s7.csv"
+            a, b = ((spec_dir / d / name).read_text().splitlines() for d in ("flags", "edited"))
+            assert [line for line in a if "spec_digest" not in line] == [
+                line for line in b if "spec_digest" not in line
+            ]
+
+    def test_unmeasured_configuration_exits_1(self, spec_dir, capsys):
+        # a comment, the header and four of the sixteen rows
+        (spec_dir / "table.csv").write_text("".join(TABLE.splitlines(keepends=True)[:6]))
+        assert main(["tune", str(spec_dir / "spec.yaml")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: configuration ")
+        assert err.rstrip().endswith("has no row in the measurement table")
+
     def test_unknown_optimizer_label_fails(self, spec_dir, capsys):
         code = main(["tune", str(spec_dir / "spec.yaml"), "--optimizer", "smac"])
         assert code != 0
@@ -280,6 +339,26 @@ class TestBench:
         assert main(["bench", str(spec_dir / "spec.yaml"), "--jobs", jobs]) == 2
         assert "--jobs" in capsys.readouterr().err
         assert not (spec_dir / "campaign").exists()
+
+    # rs at budget 16 measures all sixteen rows of the demo table, so every
+    # run of that case ends at the same best; the NK case does not tie
+    @pytest.mark.filterwarnings("ignore:case storage-runtime. all runs reached the same best")
+    def test_flags_equal_an_edited_spec(self, tmp_path):
+        for name in ("demo-spec.yaml", "measurements.csv"):
+            shutil.copy(DEMO_DATA / name, tmp_path / name)
+        path = tmp_path / "demo-spec.yaml"
+        flags = ["--p", "0.5", "--repeats", "2", "--budget", "16", "--optimizer", "rs"]
+        assert main(["bench", str(path), *flags, "--out", str(tmp_path / "flags")]) == 0
+        doc = yaml.safe_load(path.read_text())
+        doc.update(p=0.5, repeats=2, budgets=[16], optimizers=[{"kind": "rs"}])
+        (tmp_path / "edited.yaml").write_text(yaml.safe_dump(doc))
+        assert main(["bench", str(tmp_path / "edited.yaml"), "--out", str(tmp_path / "edited")]) == 0
+        from_flags = json.loads((tmp_path / "flags" / "summary.json").read_text())
+        from_file = json.loads((tmp_path / "edited" / "summary.json").read_text())
+        assert from_flags.pop("spec_digest") != from_file.pop("spec_digest")
+        assert from_flags == from_file
+        assert (from_flags["p"], from_flags["repeats"], from_flags["budgets"]) == (0.5, 2, [16])
+        assert [entry["optimizers"] for entry in from_flags["cases"].values()] == [["rs"]] * 2
 
     def test_refuses_to_overwrite_without_force(self, spec_dir, capsys):
         assert main(["bench", str(spec_dir / "spec.yaml")]) == 0
@@ -347,6 +426,35 @@ class TestReport:
         assert main(["report", str(campaign)]) == 0
         text = (campaign / "report" / "speedup.csv").read_text(encoding="utf-8")
         assert "✗" in text
+
+    def test_speedup_header_names_the_recorded_reference(self, spec_dir, tmp_path, capsys):
+        main(["bench", str(spec_dir / "spec.yaml")])
+        capsys.readouterr()
+        assert main(["report", str(spec_dir / "campaign")]) == 0
+        assert "speedup vs admmo (✗ = not achieved):" in capsys.readouterr().out
+        summary = {
+            "budgets": [10],
+            "cases": {
+                "c": {
+                    "budgets": [10],
+                    "repeats": 1,
+                    "optimizers": ["ga", "rs"],
+                    "normalized_mean": {"ga": {"10": 0.0}, "rs": {"10": 1.0}},
+                    "comparisons": [],
+                    "speedup_reference": "ga",
+                    "speedup": {"rs": 2.0},
+                }
+            },
+        }
+        (tmp_path / "summary.json").write_text(json.dumps(summary))
+        assert main(["report", str(tmp_path)]) == 0
+        assert "speedup vs ga (✗ = not achieved):" in capsys.readouterr().out
+
+    def test_unrelated_key_error_is_not_swallowed(self, tmp_path):
+        summary = {"budgets": [10], "cases": {"c": {"budgets": [10]}}}
+        (tmp_path / "summary.json").write_text(json.dumps(summary))
+        with pytest.raises(KeyError, match="normalized_mean"):
+            main(["report", str(tmp_path)])
 
     def test_empty_campaign_dir_fails(self, tmp_path, capsys):
         empty = tmp_path / "nothing"
