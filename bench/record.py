@@ -4,12 +4,16 @@ Runs ``perfbench/run.py`` on every workload, untraced at each seed and
 traced at the first one, times the tier-1 test suite, and writes every
 metric with each run's ``correct`` flag, the CPU count, the Python version
 and the git head, marked dirty with a digest of the uncommitted diff when
-the tree is not clean. From the root of a checkout:
+the tree is not clean. Each untraced run also keeps perfbench's ``raw:``
+line as ``raw``: the unscaled figures and the median calibration slice,
+by which two records can be compared for host speed. From the root of a
+checkout:
 
     python3 bench/record.py --out snapshot.json
     python3 bench/record.py --out /tmp/bench.json --seconds 1 --seeds 1
 
-The exit code is 0 when every run is correct and the tests pass, else 1.
+The exit code is 0 when every run is correct, every untraced run has its
+``raw`` line and the tests pass, else 1.
 Standard library only: the benchmark runs as a separate command.
 """
 
@@ -27,6 +31,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("tune-walk", "tune-mix", "campaign-table")
+RAW_PREFIX = "raw: "  # perfbench's stderr line of unscaled figures and host speed
 
 
 def run_workload(workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -41,6 +46,9 @@ def run_workload(workload: str, seed: int, seconds: float, trace: int) -> dict:
     if done.returncode != 0:
         result["correct"] = False
         result["stderr_tail"] = done.stderr.strip().splitlines()[-5:]
+    for line in done.stderr.splitlines():
+        if line.startswith(RAW_PREFIX):
+            result["raw"] = line[len(RAW_PREFIX):]
     return {"workload": workload, "seed": seed, "trace": trace, **result}
 
 
@@ -92,7 +100,7 @@ def main(argv: list[str] | None = None) -> int:
         runs.append(run_workload(workload, args.seeds[0], args.seconds, trace=1))
     for run in runs:
         print(f"{run['workload']} seed {run['seed']} trace {run['trace']}: "
-              f"correct={run['correct']}", file=sys.stderr)
+              f"correct={run['correct']} raw: {run.get('raw')}", file=sys.stderr)
     tier1 = time_tier1()
     print(f"tier-1: {tier1['summary']} ({tier1['wall_s']} s)", file=sys.stderr)
 
@@ -106,7 +114,10 @@ def main(argv: list[str] | None = None) -> int:
         "runs": runs,
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
-    ok = all(run["correct"] for run in runs) and tier1["returncode"] == 0
+    ok = (
+        all(run["correct"] and (run["trace"] or "raw" in run) for run in runs)
+        and tier1["returncode"] == 0
+    )
     return 0 if ok else 1
 
 

@@ -41,7 +41,9 @@ def __getattr__(name: str):
 # "run_id" plus the fields of tuner.IterationRecord, in order
 TRAJECTORY_FIELDS = ("run_id", "iteration", "b", "w", "p_prime", "o", "best_f_t_raw")
 CONVERGENCE_FIELDS = ("run_id", "measurement", "best_f_t_raw")
-CAMPAIGN_DIRS = ("trajectories", "convergence", "report")  # what bench and report write
+TUNE_OUTPUTS = ("trajectories", "convergence", "best.json")  # what tune writes
+CAMPAIGN_OUTPUTS = ("trajectories", "convergence", "report", "summary.json")  # bench and report
+CASE_KEYS = ("budgets", "optimizers", "repeats", "normalized_mean")  # what report reads of a case
 NOT_ACHIEVED_MARK = "✗"  # the "not achieved" cross in speedup tables
 
 
@@ -105,6 +107,29 @@ def _write_run_files(run: TuningRun, out_dir: Path, provenance: list[str]) -> No
     )
 
 
+def _refuse_non_empty(out_dir: Path, force: bool) -> bool:
+    """Say so and return True when ``out_dir`` holds files and ``--force``
+    was not given."""
+    if force or not out_dir.exists() or not any(out_dir.iterdir()):
+        return False
+    print(
+        f"error: output directory {out_dir} is not empty; pass --force to overwrite",
+        file=sys.stderr,
+    )
+    return True
+
+
+def _remove_outputs(out_dir: Path, names: tuple[str, ...]) -> None:
+    """Remove what a command writes in ``out_dir``, so that no file of an
+    earlier run mixes with the new one's; other files stay."""
+    for name in names:
+        path = out_dir / name
+        if path.is_dir():
+            shutil.rmtree(path, ignore_errors=True)
+        else:
+            path.unlink(missing_ok=True)
+
+
 def _tuner_params(spec: RunSpec, budget: int) -> TunerParams:
     from .tuner import TunerParams
 
@@ -138,11 +163,14 @@ def cmd_tune(args) -> int:
     optimizer = spec.optimizers[0]
     budget = spec.budgets[0]
     out_dir = Path(args.out) if args.out else spec.output_dir / "tune"
+    if _refuse_non_empty(out_dir, args.force):
+        return 2
 
     params = _tuner_params(spec, budget)
     run_id = f"{case.case_id}__{optimizer.label}__b{budget}__s{spec.seed}"
     run = run_optimizer(optimizer, case.space, case.oracle, params, spec.seed, run_id=run_id)
 
+    _remove_outputs(out_dir, TUNE_OUTPUTS)
     provenance = _provenance(spec.digest, spec.seed)
     _write_run_files(run, out_dir, provenance)
     best = {
@@ -178,11 +206,7 @@ def cmd_bench(args) -> int:
     spec = _spec_with_flags(args)
     out_dir = Path(args.out) if args.out else spec.output_dir
 
-    if out_dir.exists() and any(out_dir.iterdir()) and not args.force:
-        print(
-            f"error: output directory {out_dir} is not empty; pass --force to overwrite",
-            file=sys.stderr,
-        )
+    if _refuse_non_empty(out_dir, args.force):
         return 2
 
     results = run_campaign(
@@ -195,10 +219,7 @@ def cmd_bench(args) -> int:
         jobs=args.jobs,
     )
 
-    # a previous campaign's run files must not mix with this one's
-    for name in CAMPAIGN_DIRS:
-        shutil.rmtree(out_dir / name, ignore_errors=True)
-    (out_dir / "summary.json").unlink(missing_ok=True)
+    _remove_outputs(out_dir, CAMPAIGN_OUTPUTS)
     provenance = _provenance(spec.digest, spec.seed)
     for case_result in results:
         for per_budget in case_result.runs.values():
@@ -236,12 +257,18 @@ def cmd_report(args) -> int:
         print(f"error: corrupt summary {summary_path}: {exc}", file=sys.stderr)
         return 2
 
-    report_dir = Path(args.out) if args.out else campaign_dir / "report"
-    report_dir.mkdir(parents=True, exist_ok=True)
     cases = summary.get("cases", {})
     if not cases:
         print(f"error: campaign at {campaign_dir} contains no cases", file=sys.stderr)
         return 2
+    for case_id, entry in sorted(cases.items()):
+        missing = [] if "error" in entry else [key for key in CASE_KEYS if key not in entry]
+        if missing:
+            print(f"error: case {case_id!r} in {summary_path} lacks {missing[0]!r}", file=sys.stderr)
+            return 2
+
+    report_dir = Path(args.out) if args.out else campaign_dir / "report"
+    report_dir.mkdir(parents=True, exist_ok=True)
 
     performance_rows = []
     speedup_rows = []
@@ -339,6 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     tune.add_argument("--budget", type=int, help="measurement budget override")
     tune.add_argument("--seed", type=int, help="seed override")
     tune.add_argument("--p", type=float, help="target nondominated proportion override")
+    tune.add_argument("--force", action="store_true", help="replace an earlier tune's output")
     tune.add_argument("--out", help="output directory override")
     tune.set_defaults(func=cmd_tune)
 

@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import neg
 from typing import Callable, Iterator
 
 from .mmo import Individual, compute_meta_union, normalize_union
@@ -261,6 +263,40 @@ def unique_nondominated_proportion(union: list[Individual], w: float) -> Proport
     return current_proportion(union)
 
 
+def extend_walk(points: list[float], up: bool, length: int) -> None:
+    """Extend the weight walk's points to ``length``, from its last point.
+
+    Going up, each point is the last plus 0.1, capped at ``WEIGHT_MAX``.
+    Going down, it is the last minus 0.1 while that stays at or above 0.1,
+    then the last minus 1e-4, floored at ``WEIGHT_MIN``. ``accumulate``
+    adds the step point after point, as a step-by-step loop does, so the
+    floats are the same (x + -s is x - s in IEEE arithmetic), with no
+    Python statement per point. Only a run of steps that ends past its
+    edge is cut, where ``bisect`` finds the first point past it: a bound
+    holds from there on, and below 0.1 the walk goes on in fine steps.
+    """
+    start, x = len(points), points[-1]
+    coarse = up or x - COARSE_STEP >= 0.1
+    steps = accumulate(
+        repeat(COARSE_STEP if up else -COARSE_STEP if coarse else -FINE_STEP, length - start),
+        initial=x,
+    )
+    next(steps)  # x itself
+    points.extend(steps)
+    # going down the points descend, so bisect their negations
+    if up:
+        if points[-1] > WEIGHT_MAX:
+            cut = bisect_right(points, WEIGHT_MAX, start)
+            points[cut:] = repeat(WEIGHT_MAX, length - cut)
+    elif coarse:
+        if points[-1] < 0.1:
+            del points[bisect_right(points, -0.1, start, key=neg) :]
+            extend_walk(points, up, length)
+    elif points[-1] < WEIGHT_MIN:
+        cut = bisect_right(points, -WEIGHT_MIN, start, key=neg)
+        points[cut:] = repeat(WEIGHT_MIN, length - cut)
+
+
 def adapt_weight(union: list[Individual], w: float, target: float) -> float:
     """Walk the weight until the unique-nondominated proportion hits ``target``.
 
@@ -286,15 +322,8 @@ def adapt_weight(union: list[Individual], w: float, target: float) -> float:
     gaps: dict[float, float] = {}
 
     def point(i: int) -> float:
-        while len(points) <= i:
-            x = points[-1]
-            if up:
-                x = min(x + COARSE_STEP, WEIGHT_MAX)
-            elif x - COARSE_STEP >= 0.1:
-                x = x - COARSE_STEP
-            else:
-                x = max(x - FINE_STEP, WEIGHT_MIN)
-            points.append(x)
+        if len(points) <= i:
+            extend_walk(points, up, i + 1)
         return points[i]
 
     def gap(i: int) -> float:

@@ -66,6 +66,15 @@ output_dir: {outdir}
 """
 
 
+def files_of(directory):
+    """Every file under ``directory`` by relative path, with its bytes."""
+    return {
+        path.relative_to(directory): path.read_bytes()
+        for path in directory.rglob("*")
+        if path.is_file()
+    }
+
+
 @pytest.fixture
 def spec_dir(tmp_path):
     (tmp_path / "table.csv").write_text(TABLE)
@@ -284,6 +293,26 @@ class TestTune:
                 line for line in b if "spec_digest" not in line
             ]
 
+    def test_second_tune_into_one_out_exits_2(self, spec_dir, capsys):
+        spec, out = str(spec_dir / "spec.yaml"), spec_dir / "out"
+        assert main(["tune", spec, "--seed", "1", "--out", str(out)]) == 0
+        before = files_of(out)
+        capsys.readouterr()
+        assert main(["tune", spec, "--seed", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: output directory {out} is not empty; pass --force to overwrite\n"
+        )
+        assert files_of(out) == before
+
+    def test_force_leaves_only_the_second_run(self, spec_dir):
+        spec, out, fresh = str(spec_dir / "spec.yaml"), spec_dir / "out", spec_dir / "fresh"
+        assert main(["tune", spec, "--seed", "1", "--out", str(out)]) == 0
+        (out / "notes.txt").write_text("kept\n")
+        assert main(["tune", spec, "--seed", "2", "--out", str(out), "--force"]) == 0
+        assert main(["tune", spec, "--seed", "2", "--out", str(fresh)]) == 0
+        (fresh / "notes.txt").write_text("kept\n")
+        assert files_of(out) == files_of(fresh)
+
     def test_unmeasured_configuration_exits_1(self, spec_dir, capsys):
         # a comment, the header and four of the sixteen rows
         (spec_dir / "table.csv").write_text("".join(TABLE.splitlines(keepends=True)[:6]))
@@ -450,11 +479,28 @@ class TestReport:
         assert main(["report", str(tmp_path)]) == 0
         assert "speedup vs ga (✗ = not achieved):" in capsys.readouterr().out
 
-    def test_unrelated_key_error_is_not_swallowed(self, tmp_path):
-        summary = {"budgets": [10], "cases": {"c": {"budgets": [10]}}}
+    @pytest.mark.parametrize("key", cli.CASE_KEYS)
+    def test_case_entry_lacking_a_key_exits_2(self, tmp_path, capsys, key):
+        entry = {"budgets": [10], "optimizers": ["rs"], "repeats": 1,
+                 "normalized_mean": {"rs": {"10": 0.5}}}
+        del entry[key]
+        summary = {"budgets": [10], "cases": {"ok": {"error": "boom"}, "c": entry}}
         (tmp_path / "summary.json").write_text(json.dumps(summary))
-        with pytest.raises(KeyError, match="normalized_mean"):
-            main(["report", str(tmp_path)])
+        assert main(["report", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: case 'c' in {tmp_path / 'summary.json'} lacks {key!r}\n"
+        )
+        assert not (tmp_path / "report").exists()
+
+    def test_unrelated_key_error_is_not_swallowed(self, spec_dir, monkeypatch):
+        assert main(["bench", str(spec_dir / "spec.yaml")]) == 0
+
+        def broken(campaign_dir, cases):
+            raise KeyError("unrelated")
+
+        monkeypatch.setattr(cli, "_collect_weight_series", broken)
+        with pytest.raises(KeyError, match="unrelated"):
+            main(["report", str(spec_dir / "campaign")])
 
     def test_empty_campaign_dir_fails(self, tmp_path, capsys):
         empty = tmp_path / "nothing"

@@ -196,6 +196,22 @@ def linear_adapt_weight(union, w, target):
     return w
 
 
+def linear_walk_points(start, up, length):
+    """The reference lattice: the walk's first ``length`` points from
+    ``start``, one step at a time."""
+    points = [start]
+    while len(points) < length:
+        x = points[-1]
+        if up:
+            x = min(x + tuner.COARSE_STEP, tuner.WEIGHT_MAX)
+        elif x - tuner.COARSE_STEP >= 0.1:
+            x = x - tuner.COARSE_STEP
+        else:
+            x = max(x - tuner.FINE_STEP, tuner.WEIGHT_MIN)
+        points.append(x)
+    return points
+
+
 def walk_union(points, picks):
     """Individuals at ``points``, one per pick; equal picks are duplicates
     and share one sample, as measured duplicates do."""
@@ -237,6 +253,82 @@ def walk_inputs(values):
         START_WEIGHTS,
         TARGETS,
     )
+
+
+LATTICE_STARTS = [
+    0.0,
+    0.05,
+    0.1,
+    math.nextafter(0.1, math.inf),
+    math.nextafter(0.1, -math.inf),
+    0.15,
+    0.2,  # its first coarse step lands exactly on 0.1, which is still coarse
+    1e-4,  # its first fine step lands exactly on the bound
+    1.0,
+    999.95,
+    1000.0,
+    *(random.Random(seed).uniform(0, 1000) for seed in range(6)),
+]
+LATTICE_LENGTH = tuner.ADAPT_ITERATION_CAP + 1  # the cap's point is the last a walk reaches
+# the points adapt_weight asks for, in order: it gallops to cap - 1, then takes the cap's point
+GALLOP_INDICES = [2**k for k in range(14)] + [
+    tuner.ADAPT_ITERATION_CAP - 1,
+    tuner.ADAPT_ITERATION_CAP,
+]
+
+
+def bits(points):
+    """Exact float identity, telling 0.0 from -0.0."""
+    return [x.hex() for x in points]
+
+
+@pytest.mark.parametrize("up", [True, False], ids=["up", "down"])
+@pytest.mark.parametrize("start", LATTICE_STARTS)
+class TestExtendWalk:
+    def test_one_call_matches_the_loop(self, start, up):
+        points = [start]
+        tuner.extend_walk(points, up, LATTICE_LENGTH)
+        assert bits(points) == bits(linear_walk_points(start, up, LATTICE_LENGTH))
+
+    def test_gallop_requests_match_the_loop(self, start, up):
+        reference = linear_walk_points(start, up, LATTICE_LENGTH)
+        points = [start]
+        for i in GALLOP_INDICES:
+            tuner.extend_walk(points, up, i + 1)
+            assert bits(points) == bits(reference[: i + 1])
+
+    def test_every_length_one_point_at_a_time(self, start, up):
+        points = [start]
+        for length in range(1, LATTICE_LENGTH + 1):
+            tuner.extend_walk(points, up, length)
+            assert len(points) == length
+        assert bits(points) == bits(linear_walk_points(start, up, LATTICE_LENGTH))
+
+
+class TestExtendWalkResumes:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        start=st.sampled_from(LATTICE_STARTS) | st.floats(0, 1000),
+        up=st.booleans(),
+        lengths=st.tuples(st.integers(1, LATTICE_LENGTH), st.integers(1, LATTICE_LENGTH)),
+    )
+    def test_any_prefix_extends_to_any_length(self, start, up, lengths):
+        # a walk resumes from its last point, wherever the last request ended
+        prefix, length = sorted(lengths)
+        reference = linear_walk_points(start, up, length)
+        points = reference[:prefix]
+        tuner.extend_walk(points, up, length)
+        assert bits(points) == bits(reference)
+
+    def test_up_walk_from_zero_reaches_the_bound_at_the_cap_point(self):
+        # 10,000 coarse steps from 0 add up to 1000.0000000001588, so the
+        # cap's point is the walk's first on the bound, as in the loop
+        reference = linear_walk_points(0.0, True, LATTICE_LENGTH)
+        points = [0.0]
+        tuner.extend_walk(points, True, LATTICE_LENGTH)
+        assert points.index(tuner.WEIGHT_MAX) == reference.index(tuner.WEIGHT_MAX)
+        assert points.index(tuner.WEIGHT_MAX) == tuner.ADAPT_ITERATION_CAP
+        assert bits(points) == bits(reference)
 
 
 class TestAdaptWeight:
@@ -344,15 +436,7 @@ class TestAdaptWeight:
 
         p0 = unique_nondominated_proportion(union, w0).value
         up = p0 < target
-        walk_points = [w0]
-        for _ in range(tuner.ADAPT_ITERATION_CAP):
-            x = walk_points[-1]
-            if up:
-                walk_points.append(min(x + tuner.COARSE_STEP, tuner.WEIGHT_MAX))
-            elif x - tuner.COARSE_STEP >= 0.1:
-                walk_points.append(x - tuner.COARSE_STEP)
-            else:
-                walk_points.append(max(x - tuner.FINE_STEP, tuner.WEIGHT_MIN))
+        walk_points = linear_walk_points(w0, up, tuner.ADAPT_ITERATION_CAP + 1)
         i = walk_points.index(w)
         assert (
             unique_nondominated_proportion(union, w).value == target
