@@ -5,16 +5,19 @@ traced at the first one, times the tier-1 test suite, and writes every
 metric with each run's ``correct`` flag, the CPU count, the Python version
 and the git head, marked dirty with a digest of the uncommitted diff when
 the tree is not clean. Each untraced run also keeps perfbench's ``raw:``
-line as ``raw``: the unscaled figures and the median calibration slice,
-by which two records can be compared for host speed. From the root of a
-checkout:
+line as ``raw``: the unscaled figures and the median calibration slice.
+Every run, traced ones included, is bracketed by 20 of perfbench's
+calibration slices in this process, whose medians before and after it
+are kept as ``host_slice_ms``: the host speed around the run, the only
+one a traced run's per-layer times carry. From the root of a checkout:
 
     python3 bench/record.py --out snapshot.json
     python3 bench/record.py --out /tmp/bench.json --seconds 1 --seeds 1
 
-The exit code is 0 when every run is correct, every untraced run has its
-``raw`` line and the tests pass, else 1.
-Standard library only: the benchmark runs as a separate command.
+The exit code is 0 when every run is correct, every run has its
+``host_slice_ms`` and every untraced run its ``raw`` line, and the tests
+pass, else 1. Standard library and perfbench's calibration loop only: the
+benchmark runs as a separate command.
 """
 
 from __future__ import annotations
@@ -24,12 +27,17 @@ import hashlib
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT))
+from perfbench.calibration import slices_ms  # noqa: E402
+
+HOST_SLICES = 20  # calibration slices timed before and after each run
 WORKLOADS = ("tune-walk", "tune-mix", "campaign-table")
 RAW_PREFIX = "raw: "  # perfbench's stderr line of unscaled figures and host speed
 
@@ -40,7 +48,9 @@ def run_workload(workload: str, seed: int, seconds: float, trace: int) -> dict:
         sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
     ]
+    before = statistics.median(slices_ms(HOST_SLICES))
     done = subprocess.run(command, cwd=ROOT, capture_output=True, text=True)
+    after = statistics.median(slices_ms(HOST_SLICES))
     lines = done.stdout.strip().splitlines()
     result = json.loads(lines[-1]) if lines else {"correct": False, "metrics": {}}
     if done.returncode != 0:
@@ -49,6 +59,7 @@ def run_workload(workload: str, seed: int, seconds: float, trace: int) -> dict:
     for line in done.stderr.splitlines():
         if line.startswith(RAW_PREFIX):
             result["raw"] = line[len(RAW_PREFIX):]
+    result["host_slice_ms"] = [round(before, 4), round(after, 4)]
     return {"workload": workload, "seed": seed, "trace": trace, **result}
 
 
@@ -100,7 +111,8 @@ def main(argv: list[str] | None = None) -> int:
         runs.append(run_workload(workload, args.seeds[0], args.seconds, trace=1))
     for run in runs:
         print(f"{run['workload']} seed {run['seed']} trace {run['trace']}: "
-              f"correct={run['correct']} raw: {run.get('raw')}", file=sys.stderr)
+              f"correct={run['correct']} host_slice_ms: {run['host_slice_ms']} "
+              f"raw: {run.get('raw')}", file=sys.stderr)
     tier1 = time_tier1()
     print(f"tier-1: {tier1['summary']} ({tier1['wall_s']} s)", file=sys.stderr)
 
@@ -115,7 +127,10 @@ def main(argv: list[str] | None = None) -> int:
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     ok = (
-        all(run["correct"] and (run["trace"] or "raw" in run) for run in runs)
+        all(
+            run["correct"] and "host_slice_ms" in run and (run["trace"] or "raw" in run)
+            for run in runs
+        )
         and tier1["returncode"] == 0
     )
     return 0 if ok else 1

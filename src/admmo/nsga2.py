@@ -114,13 +114,13 @@ def uniform_crossover(
     probability 0.5; otherwise the children are copies of the parents."""
     if rng.random() >= rate:
         return x, y
-    left = list(x.values)
-    right = list(y.values)
+    left = list(x)
+    right = list(y)
     draw = rng.random
     for i in range(len(left)):
         if draw() < 0.5:
             left[i], right[i] = right[i], left[i]
-    return Configuration(tuple(left)), Configuration(tuple(right))
+    return Configuration(left), Configuration(right)
 
 
 def boundary_mutation(
@@ -138,14 +138,14 @@ def boundary_mutation(
         if draw() >= rate:
             continue
         if values is None:
-            values = list(config.values)
+            values = list(config)
         if opt.kind == BINARY:
             values[i] = 1 - values[i]
         elif opt.kind == CATEGORICAL:
             values[i] = rng.choice([lvl for lvl in opt.levels if lvl != values[i]])
         else:
             values[i] = opt.lo if draw() < 0.5 else opt.hi
-    return config if values is None else Configuration(tuple(values))
+    return config if values is None else Configuration(values)
 
 
 def fill_by_fronts(fronts: list[list[Individual]], capacity: int) -> list[Individual]:

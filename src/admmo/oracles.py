@@ -15,8 +15,9 @@ import functools
 import math
 from array import array
 from dataclasses import dataclass, field
+from operator import getitem
 from pathlib import Path
-from typing import TYPE_CHECKING, Protocol, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Protocol, Sequence
 
 from .space import CATEGORICAL, ConfigSpace, Configuration, OptionSpec
 
@@ -36,16 +37,33 @@ class TableFormatError(ValueError):
     """Raised for malformed measurement files; messages carry line numbers."""
 
 
-@dataclass(frozen=True)
-class PerfSample:
-    """One measured (target, auxiliary) pair, minimization-oriented."""
-
+class _Pair(NamedTuple):
     f_t: float
     f_a: float
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.f_t) and math.isfinite(self.f_a)):
-            raise ValueError(f"non-finite measurement ({self.f_t}, {self.f_a})")
+
+class PerfSample(_Pair):
+    """One measured (target, auxiliary) pair, minimization-oriented.
+
+    A named tuple, so ``f_t`` and ``f_a`` are read in C. Every way of
+    making one, ``_make``, ``_replace`` and unpickling included, goes
+    through ``__new__`` and its finiteness check.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, f_t: float, f_a: float) -> "PerfSample":
+        if not (math.isfinite(f_t) and math.isfinite(f_a)):
+            raise ValueError(f"non-finite measurement ({f_t}, {f_a})")
+        return tuple.__new__(cls, (f_t, f_a))
+
+    @classmethod
+    def _make(cls, iterable) -> "PerfSample":
+        return cls(*iterable)
+
+    def __reduce__(self):
+        # protocols 0 and 1 would otherwise rebuild it with tuple.__new__
+        return (PerfSample, tuple(self))
 
 
 @dataclass(frozen=True)
@@ -207,7 +225,6 @@ def load_table(
 
     t_sign, a_sign = orientation.apply(1.0, 1.0)
     rows: dict[Configuration, PerfSample] = {}
-    first_seen: dict[Configuration, int] = {}
     # per option column, the value of each cell text parsed so far; only
     # parses that succeeded are kept, so a bad cell fails on its own line.
     # Cells are not stripped: int, float and the level lookup in
@@ -221,31 +238,32 @@ def load_table(
                 f"line {line_no}: expected {n + 2} columns, got {len(cells)}"
             )
         try:
-            values = tuple([known[cell] for known, cell in zip(parsed, cells)])
+            config = Configuration(map(getitem, parsed, cells))
         except KeyError:
-            values = tuple(
+            config = Configuration(
                 _parse_option_value(opt, cell, line_no)
                 for opt, cell in zip(space.options, cells[:n])
             )
-            for known, cell, value in zip(parsed, cells, values):
+            for known, cell, value in zip(parsed, cells, config):
                 known[cell] = value
-        config = Configuration(values)
         try:
             f_t, f_a = float(cells[t_index]), float(cells[a_index])
         except ValueError:
             raise TableFormatError(f"line {line_no}: non-numeric objective value") from None
-        if not (math.isfinite(f_t) and math.isfinite(f_a)):
-            raise TableFormatError(f"line {line_no}: non-finite objective value")
-        sample = PerfSample(t_sign * f_t, a_sign * f_a)
-        if config in rows:
-            if rows[config] != sample:
-                raise TableFormatError(
-                    f"line {line_no}: conflicting duplicate of line "
-                    f"{first_seen[config]} for configuration {values!r}"
-                )
-            continue
-        rows[config] = sample
-        first_seen[config] = line_no
+        try:
+            sample = PerfSample(t_sign * f_t, a_sign * f_a)
+        except ValueError:
+            raise TableFormatError(f"line {line_no}: non-finite objective value") from None
+        # the one hash of the row; an agreeing duplicate leaves the first
+        if rows.setdefault(config, sample) != sample:
+            first = next(
+                no for no, earlier in data_lines[1:]
+                if Configuration(map(getitem, parsed, earlier.split(delimiter))) == config
+            )
+            raise TableFormatError(
+                f"line {line_no}: conflicting duplicate of line "
+                f"{first} for configuration {config.values!r}"
+            )
     return MeasurementTable(space=space, rows=rows)
 
 
@@ -326,15 +344,14 @@ class NkLandscape:
         return _table_views(self._a_buffer, _nk_shapes(self._sizes(), self.k))
 
     def sample(self, config: Configuration) -> PerfSample:
-        values = config.values
         t, a = self._t_buffer, self._a_buffer
         f_t = f_a = 0.0
         for offset, terms in self._layout:
             for option, stride in terms:
-                offset += values[option] * stride
+                offset += config[option] * stride
             f_t += t[offset]
             f_a += a[offset]
-        n = len(values)
+        n = len(config)
         f_t /= n
         f_a /= n
         rho = self.correlation

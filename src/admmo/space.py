@@ -86,31 +86,22 @@ class OptionSpec:
         return value in self.levels
 
 
-@dataclass(frozen=True, slots=True)
-class Configuration:
+class Configuration(tuple):
     """A complete assignment of values, one per option, in space order.
 
-    Equality and hashing are componentwise over ``values``; this is the
-    duplicate relation used everywhere. The hash is computed once, at
-    construction, because every ledger and duplicate lookup asks for it.
+    A tuple of the values, so construction, equality and hashing (the
+    duplicate relation used everywhere), ordering, ``len`` and pickling
+    all run in C, and a configuration equals its plain value tuple.
     """
 
-    values: tuple[Any, ...]
-    _hash: int = field(init=False, compare=False, repr=False)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash(self.values))
+    @property
+    def values(self) -> tuple[Any, ...]:
+        return tuple(self)
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self):
-        # rebuild from the values: string hashes are salted per interpreter,
-        # so a pickled hash would be stale in another process
-        return (Configuration, (self.values,))
-
-    def __len__(self) -> int:
-        return len(self.values)
+    def __repr__(self) -> str:
+        return f"Configuration(values={tuple(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -159,19 +150,18 @@ class ConfigSpace:
 
     def validate(self, config: Configuration) -> bool:
         """True iff lengths match and every component is in-domain."""
-        values = config.values
-        if len(values) != len(self.options):
+        if len(config) != len(self.options):
             return False
         # as OptionSpec.contains: ``in`` a range would also take 1.0
         for i in self._integer_positions:
-            if not isinstance(values[i], int):
+            if not isinstance(config[i], int):
                 return False
-        return all(map(operator.contains, self._domains, values))
+        return all(map(operator.contains, self._domains, config))
 
     def random_config(self, rng: random.Random) -> Configuration:
         """Draw each component uniformly from its domain, one ``choice`` per
         option: it draws the index that ``randrange``/``randint`` draw."""
-        return Configuration(tuple(map(rng.choice, self._domains)))
+        return Configuration(map(rng.choice, self._domains))
 
     def enumerate_all(self, cap: int = DEFAULT_ENUMERATION_CAP) -> list[Configuration]:
         """All distinct configurations in lexicographic (domain) order.

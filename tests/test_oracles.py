@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import random
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from admmo import (
     BudgetLedger,
     ConfigSpace,
     Configuration,
+    Individual,
     MeasurementTable,
     ObjectiveOrientation,
     OptionSpec,
@@ -25,6 +27,7 @@ from admmo import (
     run_rs,
     synthetic_landscape,
 )
+from admmo.oracles import _parse_option_value
 
 
 def two_bit_space() -> ConfigSpace:
@@ -71,14 +74,16 @@ class TestMeasure:
     def test_missing_row_error(self):
         space = two_bit_space()
         oracle = MeasurementTable(space=space, rows={})
-        with pytest.raises(UnmeasuredConfigurationError):
+        with pytest.raises(UnmeasuredConfigurationError) as raised:
             measure(oracle, Configuration((0, 0)), BudgetLedger(budget=5))
+        assert str(raised.value) == "configuration (0, 0) has no row in the measurement table"
 
     def test_invalid_config_rejected(self):
         space = two_bit_space()
         oracle = table_for(space)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as raised:
             measure(oracle, Configuration((0, 7)), BudgetLedger(budget=5))
+        assert str(raised.value) == "configuration (0, 7) is invalid for the space"
 
     def test_charge_log_matches_consumed(self):
         space = two_bit_space()
@@ -272,6 +277,194 @@ class TestLoadTable(object):
         assert len(table) == 2880
 
 
+def reference_rows(data_lines, space, t_index, a_index, orientation, delimiter=","):
+    """``load_table``'s row loop as it was before each row was hashed once:
+    three lookups per row and a ``first_seen`` map for the duplicate check.
+    ``data_lines`` holds the (line number, text) of every row after the
+    header."""
+    n = space.n_options
+    t_sign, a_sign = orientation.apply(1.0, 1.0)
+    rows, first_seen = {}, {}
+    parsed = [{} for _ in range(n)]
+    for line_no, line in data_lines:
+        cells = line.split(delimiter)
+        if len(cells) != n + 2:
+            raise TableFormatError(
+                f"line {line_no}: expected {n + 2} columns, got {len(cells)}"
+            )
+        try:
+            values = tuple([known[cell] for known, cell in zip(parsed, cells)])
+        except KeyError:
+            values = tuple(
+                _parse_option_value(opt, cell, line_no)
+                for opt, cell in zip(space.options, cells[:n])
+            )
+            for known, cell, value in zip(parsed, cells, values):
+                known[cell] = value
+        config = Configuration(values)
+        try:
+            f_t, f_a = float(cells[t_index]), float(cells[a_index])
+        except ValueError:
+            raise TableFormatError(f"line {line_no}: non-numeric objective value") from None
+        if not (math.isfinite(f_t) and math.isfinite(f_a)):
+            raise TableFormatError(f"line {line_no}: non-finite objective value")
+        sample = PerfSample(t_sign * f_t, a_sign * f_a)
+        if config in rows:
+            if rows[config] != sample:
+                raise TableFormatError(
+                    f"line {line_no}: conflicting duplicate of line "
+                    f"{first_seen[config]} for configuration {values!r}"
+                )
+            continue
+        rows[config] = sample
+        first_seen[config] = line_no
+    return rows
+
+
+DIFFERENTIAL_SPACE = ConfigSpace(
+    (
+        OptionSpec.binary("cache"),
+        OptionSpec.integer("threads", 1, 12),
+        OptionSpec.categorical("mode", ("fast", "safe", "lazy")),
+        OptionSpec.integer("offset", -2, 3),
+    )
+)
+BAD_CELLS = {
+    "cache": ["2", "-1", "yes"],
+    "threads": ["0", "13", "four", "1.5"],
+    "mode": ["turbo", "Fast", "0"],
+    "offset": ["-3", "4", "x"],
+}
+
+
+def padded(text, rng):
+    return rng.choice(["", " ", "\t", "  "]) + text + rng.choice(["", " ", "\t"])
+
+
+def spelled(value, rng):
+    """A cell text for an option value: as written, zero-padded if an
+    integer, padded with blanks or not."""
+    if isinstance(value, int) and rng.random() < 0.2:
+        return padded(f"{value:03d}", rng)
+    return padded(str(value), rng)
+
+
+def random_table(rng):
+    """A seeded table over ``DIFFERENTIAL_SPACE`` with comments, blank lines,
+    padded and zero-padded cells and duplicates that agree: one (text,
+    config) entry per line, config None for every line that is not a row.
+    The first line after the header is a row."""
+    t_first = rng.random() < 0.5
+    header = ",".join(padded(name, rng) for name in DIFFERENTIAL_SPACE.option_names)
+    header += ",t,a" if t_first else ",a,t"
+    lines = [("# a generated table", None), (header, None)]
+    objectives = {}
+    for i in range(rng.randint(1, 40)):
+        if i and rng.random() < 0.15:
+            lines.append((rng.choice(["", "   ", "\t", "# note", "  # padded note"]), None))
+            continue
+        config = DIFFERENTIAL_SPACE.random_config(rng)
+        t, a = objectives.setdefault(config, (rng.randint(-40, 40) / 8, rng.randint(0, 80) / 4))
+        pair = [t, a] if t_first else [a, t]
+        texts = [padded(rng.choice([repr(x), f"{x:.4f}", f"{x:g}"]), rng) for x in pair]
+        lines.append((",".join([spelled(v, rng) for v in config] + texts), config))
+    return lines, t_first
+
+
+def corrupt(lines, kind, rng):
+    """Insert one row that ``load_table`` must refuse, of the given kind,
+    after the first line of the table; returns the line number of the first
+    copy a conflicting duplicate clashes with, else None."""
+    rows = [i for i, (_, config) in enumerate(lines) if config is not None]
+    at = rng.randint(2, len(lines))
+    config = DIFFERENTIAL_SPACE.random_config(rng)
+    cells = [spelled(v, rng) for v in config] + ["1.5", "2.5"]
+    first = None
+    if kind == "width":
+        cells = cells + ["0"] if rng.random() < 0.5 else cells[:-1]
+    elif kind == "option":
+        i = rng.randrange(DIFFERENTIAL_SPACE.n_options)
+        cells[i] = padded(rng.choice(BAD_CELLS[DIFFERENTIAL_SPACE.option_names[i]]), rng)
+    elif kind in ("non-numeric", "non-finite"):
+        bad = ["fast", "", "1;5", "0x10"] if kind == "non-numeric" else ["nan", "inf", "-inf", "1e999"]
+        cells[-1 - rng.randrange(2)] = padded(rng.choice(bad), rng)
+    else:
+        config = lines[rng.choice(rows)][1]
+        first_at = next(i for i in rows if lines[i][1] == config)
+        at = rng.randint(first_at + 1, len(lines))
+        first = first_at + 1
+        cells = [spelled(v, rng) for v in config] + lines[first_at][0].split(",")[-2:]
+        cells[-1] = "99.5"
+    lines.insert(at, (",".join(cells), None))
+    return first
+
+
+def table_text(lines, rng):
+    return "".join(text + rng.choice(["\n", "\r\n"]) for text, _ in lines)
+
+
+def data_lines_of(text):
+    return [
+        (i + 1, line) for i, line in enumerate(text.splitlines())
+        if line.strip() and not line.lstrip().startswith("#")
+    ][1:]
+
+
+class TestLoadTableAgainstTheRowLoop:
+    """``load_table`` hashes each row once and rescans for a clash's first
+    line only when it raises; the old row loop is the reference."""
+
+    def outcomes(self, tmp_path, lines, t_first, orientation, rng):
+        """What ``load_table`` and the reference each give for the table:
+        its rows as a list of items, or the message it raised."""
+        text = table_text(lines, rng)
+        path = tmp_path / "table.csv"
+        path.write_bytes(text.encode())
+        n = DIFFERENTIAL_SPACE.n_options
+        t_index, a_index = (n, n + 1) if t_first else (n + 1, n)
+
+        def outcome(load):
+            try:
+                return list(load().items())
+            except TableFormatError as error:
+                return str(error)
+
+        return (
+            outcome(lambda: load_table(path, DIFFERENTIAL_SPACE, "t", "a", orientation).rows),
+            outcome(lambda: reference_rows(
+                data_lines_of(text), DIFFERENTIAL_SPACE, t_index, a_index, orientation
+            )),
+        )
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_same_rows_in_the_same_order(self, tmp_path, seed):
+        rng = random.Random(seed)
+        lines, t_first = random_table(rng)
+        orientation = ObjectiveOrientation(rng.random() < 0.5, rng.random() < 0.5)
+        rows, expected = self.outcomes(tmp_path, lines, t_first, orientation, rng)
+        assert isinstance(expected, list) and rows == expected
+        assert all(type(c) is Configuration and type(s) is PerfSample for c, s in rows)
+
+    @pytest.mark.parametrize(
+        "kind, message",
+        [
+            ("width", "columns, got"),
+            ("option", "option '"),
+            ("non-numeric", "non-numeric objective value"),
+            ("non-finite", "non-finite objective value"),
+            ("conflict", "conflicting duplicate of line"),
+        ],
+    )
+    @pytest.mark.parametrize("seed", range(12))
+    def test_same_message_for_one_bad_row(self, tmp_path, seed, kind, message):
+        rng = random.Random(seed)
+        lines, t_first = random_table(rng)
+        first = corrupt(lines, kind, rng)
+        raised, expected = self.outcomes(tmp_path, lines, t_first, ObjectiveOrientation(), rng)
+        assert raised == expected and message in expected
+        if first is not None:
+            assert f"conflicting duplicate of line {first} for" in raised
+
 def reference_tables(sizes, k, seed):
     """The target and auxiliary tables as one ``uniform(size=shape)`` draw per
     position's table, from the two streams of ``SeedSequence(seed)``."""
@@ -375,3 +568,40 @@ class TestSyntheticLandscape:
     def test_perf_sample_requires_finite(self):
         with pytest.raises(ValueError):
             PerfSample(math.nan, 0.0)
+
+
+class TestPerfSample:
+    def test_fields_and_repr(self):
+        sample = PerfSample(5.0, -1.5)
+        assert (sample.f_t, sample.f_a) == (5.0, -1.5) == sample
+        assert repr(sample) == "PerfSample(f_t=5.0, f_a=-1.5)"
+
+    @pytest.mark.parametrize("protocol", [2, 3, 4, 5])
+    def test_pickle_round_trip(self, protocol):
+        sample = PerfSample(0.25, -3.0)
+        copy = pickle.loads(pickle.dumps(sample, protocol))
+        assert type(copy) is PerfSample and copy == sample
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_every_constructor_path_requires_finite(self, bad):
+        sample = PerfSample(1.0, 2.0)
+        with pytest.raises(ValueError, match="non-finite measurement"):
+            PerfSample(bad, 0.0)
+        with pytest.raises(ValueError, match="non-finite measurement"):
+            PerfSample._make([0.0, bad])
+        with pytest.raises(ValueError, match="non-finite measurement"):
+            sample._replace(f_a=bad)
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_unpickling_requires_finite(self, protocol):
+        # a non-finite pair made behind the constructor's back, as a
+        # pickle from elsewhere could hold it
+        smuggled = tuple.__new__(PerfSample, (math.nan, 0.0))
+        with pytest.raises(ValueError, match="non-finite measurement"):
+            pickle.loads(pickle.dumps(smuggled, protocol))
+
+    def test_individual_repr_is_unchanged(self):
+        ind = Individual(Configuration((1, "fast")), PerfSample(5.0, 0.125))
+        assert repr(ind) == (
+            "Individual((1, 'fast'), f_t=5, f_a=0.125, g=(None, None), rank=None)"
+        )

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import admmo
-from admmo import ConfigSpace, Configuration, OptionSpec, SpaceTooLargeError
+from admmo import ConfigSpace, Configuration, OptionSpec, PerfSample, SpaceTooLargeError
 from admmo.space import BINARY, INTEGER
 
 from conftest import mixed_spaces
@@ -212,6 +212,40 @@ def test_duplicate_relation_is_equality_of_values(values):
     assert (a == c) == (tuple(values) == tuple(reversed(values)))
 
 
+class TestValueType:
+    def test_equal_values_dedupe_in_sets_and_dicts(self):
+        a, b = Configuration((1, "fast", 3)), Configuration([1, "fast", 3])
+        assert a is not b
+        assert len({a, b}) == 1
+        assert {a: "first", b: "second"} == {a: "second"}
+
+    def test_hash_is_the_value_tuple_hash(self):
+        config = Configuration((0, 2, "safe"))
+        assert hash(config) == hash(tuple(config)) == hash(config.values)
+
+    def test_built_from_a_list_is_hashable(self):
+        config = Configuration([1, 0, "a"])
+        assert {config: 1}[Configuration((1, 0, "a"))] == 1
+
+    def test_equals_its_value_tuple_and_is_ordered(self):
+        config = Configuration((1, "fast"))
+        assert config == (1, "fast") and config.values == (1, "fast")
+        assert type(config.values) is tuple
+        assert sorted([Configuration((1, 0)), Configuration((0, 1))]) == [(0, 1), (1, 0)]
+
+    def test_repr_and_len_are_unchanged(self):
+        config = Configuration((1, "fast"))
+        assert repr(config) == "Configuration(values=(1, 'fast'))"
+        assert len(config) == 2
+
+    @pytest.mark.parametrize("protocol", [2, 3, 4, 5])
+    def test_pickle_round_trip(self, protocol):
+        config = Configuration((1, "fast", -3))
+        copy = pickle.loads(pickle.dumps(config, protocol))
+        assert type(copy) is Configuration
+        assert copy == config and hash(copy) == hash(config)
+
+
 def test_pickled_configuration_hashes_afresh_in_another_interpreter():
     # string hashes are salted per interpreter: a hash that travelled with
     # the pickled configuration would send this lookup to the wrong slot
@@ -221,15 +255,16 @@ def test_pickled_configuration_hashes_afresh_in_another_interpreter():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     script = (
         "import pickle, sys\n"
-        "from admmo import Configuration\n"
+        "from admmo import Configuration, PerfSample\n"
         "table = pickle.loads(sys.stdin.buffer.read())\n"
-        "print(hash('fast'), table.get(Configuration((1, 'fast'))))\n"
+        "sample = table.get(Configuration((1, 'fast')))\n"
+        "print(hash('fast'), type(sample).__name__, sample == PerfSample(0.5, -2.0))\n"
     )
-    table = {Configuration((1, "fast")): "hit"}
+    table = {Configuration((1, "fast")): PerfSample(0.5, -2.0)}
     done = subprocess.run(
         [sys.executable, "-c", script], input=pickle.dumps(table),
         env=env, capture_output=True, check=True,
     )
-    child_hash, found = done.stdout.decode().split()
+    child_hash, found, equal = done.stdout.decode().split()
     assert int(child_hash) != hash("fast")
-    assert found == "hit"
+    assert (found, equal) == ("PerfSample", "True")
