@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from array import array
 from dataclasses import dataclass, field
 from operator import getitem
@@ -374,6 +375,8 @@ def synthetic_landscape(
     Requires 1 <= k < n_options; identical arguments yield an identical
     oracle.
     """
+    if n_options > sys.maxsize:
+        raise ValueError(f"n_options {n_options} is too many to index")
     if isinstance(domain_sizes, int):
         sizes = [domain_sizes] * n_options
     else:

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 from .oracles import MeasurementOracle, ObjectiveOrientation, load_table, synthetic_landscape
 from .space import ConfigSpace, OptionSpec
-from .tuner import OptimizerSpec
+from .tuner import OptimizerSpec, TunerParams
 
 
 class RunSpecError(ValueError):
@@ -46,15 +47,16 @@ class RunSpec:
 
     def __post_init__(self) -> None:
         # the range checks; dataclasses.replace runs them again, so a
-        # command-line override is checked as its file value would be
-        if self.population_size < 2:
-            raise RunSpecError("'population_size' must be at least 2")
+        # command-line override is checked as its file value would be.
+        # TunerParams owns the population and p rules.
+        try:
+            TunerParams(min(self.budgets), self.population_size, self.p)
+        except ValueError as exc:
+            raise RunSpecError(str(exc)) from None
         if any(b < self.population_size for b in self.budgets):
             raise RunSpecError("every budget must be at least the population size")
         if self.repeats < 1:
             raise RunSpecError("repeats must be positive")
-        if not 0 < self.p <= 1:
-            raise RunSpecError("p must lie in (0, 1]")
 
     def select_optimizer(self, label: str) -> OptimizerSpec:
         """The optimizer with this label, else the first of this kind."""
@@ -69,125 +71,126 @@ class RunSpec:
         )
 
 
-def _number(value, key: str, kind: type[int] | type[float]):
-    """``value`` as an int or a float, or a RunSpecError that names ``key``.
+_REQUIRED = object()
+_EXPECTED = {int: "an integer", float: "a number", bool: "true or false", str: "a string",
+             dict: "a mapping", list: "a nonempty list"}
 
-    A fractional number is no int: it is rejected, not truncated.
+
+def _as(value, key: str, kind):
+    """``value`` read as ``kind``, or a RunSpecError that names ``key``.
+
+    int and float convert as ``int("3")`` and ``float(True)`` do, but a
+    fractional number is no int; list is a nonempty list, ``[k]`` a nonempty
+    list of ``k`` values named ``key``, and a tuple any one of its types.
     """
+    if isinstance(kind, list):
+        return [_as(v, key, kind[0]) for v in _as(value, key, list)]
+    if kind in (int, float):
+        try:
+            number = kind(value)
+        except (TypeError, ValueError, OverflowError):
+            number = None
+        fractional = kind is int and isinstance(value, float) and number != value
+        if number is not None and not fractional:
+            return number
+    elif isinstance(value, kind) and (kind is not list or value):
+        return value
+    expected = " or ".join(_EXPECTED[k] for k in (kind if isinstance(kind, tuple) else (kind,)))
+    raise RunSpecError(f"{key!r} must be {expected}, got {value!r}")
+
+
+def _get(doc: dict, key: str, kind, default=_REQUIRED):
+    """The value of ``doc`` at the last part of the dotted ``key``, read as
+    ``kind`` (see ``_as``); ``default`` when it is absent, if there is one."""
+    value = doc.get(key.rpartition(".")[2], default)
+    if value is _REQUIRED:
+        raise RunSpecError(f"missing {key!r}")
+    return _as(value, key, kind)
+
+
+@contextmanager
+def _naming(where: str):
+    """Raise a ValueError from inside the block, such as a range rule of the
+    object it builds, as a RunSpecError that names ``where``."""
     try:
-        number = kind(value)
-    except (TypeError, ValueError, OverflowError):
-        number = None
-    if number is None or (kind is int and isinstance(value, float) and number != value):
-        expected = "an integer" if kind is int else "a number"
-        raise RunSpecError(f"{key!r} must be {expected}, got {value!r}")
-    return number
+        yield
+    except ValueError as exc:
+        raise RunSpecError(f"{where}: {exc}") from None
 
 
-def _mapping(value, key: str) -> dict:
-    """``value`` if it is a mapping, or a RunSpecError that names ``key``."""
-    if not isinstance(value, dict):
-        raise RunSpecError(f"{key!r} must be a mapping, got {value!r}")
-    return value
+def _parse_option(entry, key: str) -> OptionSpec:
+    entry = _as(entry, key, dict)
+    name, kind = _get(entry, f"{key}.name", str), _get(entry, f"{key}.kind", str)
+    if kind == "integer":
+        lo, hi = _get(entry, f"{key}.lo", int), _get(entry, f"{key}.hi", int)
+        return OptionSpec.integer(name, lo, hi)
+    if kind == "categorical":
+        return OptionSpec.categorical(name, [str(v) for v in _get(entry, f"{key}.levels", list)])
+    if kind == "binary":
+        return OptionSpec.binary(name)
+    raise RunSpecError(f"'{key}.kind' must be 'binary', 'integer' or 'categorical', got {kind!r}")
 
 
-def _parse_option(entry: dict, index: int) -> OptionSpec:
-    try:
-        name = entry["name"]
-        kind = entry["kind"]
-    except (KeyError, TypeError):
-        raise RunSpecError(f"space option #{index}: needs 'name' and 'kind'") from None
-    try:
-        if kind == "binary":
-            return OptionSpec.binary(name)
-        if kind == "integer":
-            return OptionSpec.integer(
-                name, _number(entry["lo"], "lo", int), _number(entry["hi"], "hi", int)
-            )
-        if kind == "categorical":
-            return OptionSpec.categorical(name, [str(v) for v in entry["levels"]])
-    except (KeyError, ValueError) as exc:
-        raise RunSpecError(f"space option {name!r}: {exc}") from None
-    raise RunSpecError(f"space option {name!r}: unknown kind {kind!r}")
-
-
-def _parse_space(doc: dict) -> ConfigSpace:
-    options = _mapping(doc, "space").get("options")
-    if not isinstance(options, list) or not options:
-        raise RunSpecError("space needs a nonempty 'options' list")
-    return ConfigSpace(tuple(_parse_option(o, i) for i, o in enumerate(options)))
-
-
-def _parse_oracle(doc: dict, base_dir: Path, space: ConfigSpace | None):
-    kind = _mapping(doc, "oracle").get("kind")
+def _parse_oracle(doc: dict, key: str, base_dir: Path, space: ConfigSpace | None):
+    kind = _get(doc, f"{key}.kind", str)
     if kind == "table":
         if space is None:
             raise RunSpecError("a table oracle needs an explicit 'space' section")
-        for key in ("path", "target_column", "auxiliary_column"):
-            if key not in doc:
-                raise RunSpecError(f"table oracle needs {key!r}")
-        path = Path(doc["path"])
-        if not path.is_absolute():
-            path = base_dir / path
+        path = base_dir / _get(doc, f"{key}.path", str)  # an absolute path stays as it is
         if not path.exists():
             raise RunSpecError(f"measurement table not found: {path}")
-        orientation = ObjectiveOrientation(
-            t_maximize=bool(doc.get("maximize_target", False)),
-            a_maximize=bool(doc.get("maximize_auxiliary", False)),
-        )
         table = load_table(
             path,
             space,
-            target_column=doc["target_column"],
-            auxiliary_column=doc["auxiliary_column"],
-            orientation=orientation,
-            delimiter=doc.get("delimiter", ","),
+            target_column=_get(doc, f"{key}.target_column", str),
+            auxiliary_column=_get(doc, f"{key}.auxiliary_column", str),
+            orientation=ObjectiveOrientation(
+                _get(doc, f"{key}.maximize_target", bool, False),
+                _get(doc, f"{key}.maximize_auxiliary", bool, False),
+            ),
+            delimiter=_get(doc, f"{key}.delimiter", str, ","),
         )
         return table.space, table
     if kind == "synthetic":
-        for key in ("n_options", "domain_sizes", "k", "seed"):
-            if key not in doc:
-                raise RunSpecError(f"synthetic oracle needs {key!r}")
-        sizes = doc["domain_sizes"]
-        if isinstance(sizes, list):
-            sizes = [_number(s, "oracle.domain_sizes", int) for s in sizes]
-        else:
-            sizes = _number(sizes, "oracle.domain_sizes", int)
-        landscape = synthetic_landscape(
-            n_options=_number(doc["n_options"], "oracle.n_options", int),
-            domain_sizes=sizes,
-            k=_number(doc["k"], "oracle.k", int),
-            seed=_number(doc["seed"], "oracle.seed", int),
-            correlation=_number(doc.get("correlation", 0.0), "oracle.correlation", float),
+        sizes_kind = [int] if isinstance(doc.get("domain_sizes"), list) else int
+        args = dict(
+            n_options=_get(doc, f"{key}.n_options", int),
+            domain_sizes=_get(doc, f"{key}.domain_sizes", sizes_kind),
+            k=_get(doc, f"{key}.k", int),
+            seed=_get(doc, f"{key}.seed", int),
+            correlation=_get(doc, f"{key}.correlation", float, 0.0),
         )
+        with _naming(key):
+            landscape = synthetic_landscape(**args)
         if space is not None and space != landscape.space:
             raise RunSpecError("synthetic oracle defines its own space; drop the 'space' section")
         return landscape.space, landscape
-    raise RunSpecError(f"oracle kind must be 'table' or 'synthetic', got {kind!r}")
+    raise RunSpecError(f"'{key}.kind' must be 'table' or 'synthetic', got {kind!r}")
 
 
-def _parse_case(doc: dict, base_dir: Path, default_id: str) -> BenchCase:
-    space = _parse_space(doc["space"]) if "space" in doc else None
-    if "oracle" not in doc:
-        raise RunSpecError(f"case {default_id!r}: missing 'oracle' section")
-    space, oracle = _parse_oracle(doc["oracle"], base_dir, space)
+def _parse_case(doc: dict, at: str, base_dir: Path, default_id: str) -> BenchCase:
+    """The case in ``doc``, whose keys are named after the prefix ``at``."""
+    space = None
+    if "space" in doc:
+        space_doc = _get(doc, f"{at}space", dict)
+        with _naming(f"{at}space"):
+            options = enumerate(_get(space_doc, "options", list))
+            space = ConfigSpace(tuple(_parse_option(o, f"options[{i}]") for i, o in options))
+    space, oracle = _parse_oracle(_get(doc, f"{at}oracle", dict), f"{at}oracle", base_dir, space)
     return BenchCase(case_id=str(doc.get("id", default_id)), space=space, oracle=oracle)
 
 
-def _parse_optimizer(entry: dict | str, index: int) -> OptimizerSpec:
-    if isinstance(entry, str):
-        entry = {"kind": entry}
-    if not isinstance(entry, dict):
-        raise RunSpecError(f"optimizer #{index}: expected a kind name or a mapping, got {entry!r}")
-    try:
+def _parse_optimizer(entry, index: int) -> OptimizerSpec:
+    with _naming(f"optimizer #{index}"):
+        entry = _as(entry, "optimizers", (str, dict))
+        if isinstance(entry, str):
+            return OptimizerSpec(kind=entry)
         return OptimizerSpec(
-            kind=entry["kind"],
-            duplicates_mode=entry.get("duplicates_mode", "partial"),
-            trigger_mode=entry.get("trigger_mode", "progressive"),
-            fixed_w=_number(entry.get("fixed_w", 1.0), "fixed_w", float),
+            kind=_get(entry, "kind", str),
+            duplicates_mode=_get(entry, "duplicates_mode", str, OptimizerSpec.duplicates_mode),
+            trigger_mode=_get(entry, "trigger_mode", str, OptimizerSpec.trigger_mode),
+            fixed_w=_get(entry, "fixed_w", float, OptimizerSpec.fixed_w),
         )
-    except (KeyError, ValueError) as exc:
-        raise RunSpecError(f"optimizer #{index}: {exc}") from None
 
 
 def _parse_document(raw: bytes, path: Path):
@@ -218,41 +221,27 @@ def load_runspec(path: str | Path) -> RunSpec:
 
     base_dir = path.parent
     if "cases" in doc:
-        case_docs = doc["cases"]
-        if not isinstance(case_docs, list) or not case_docs:
-            raise RunSpecError("'cases' must be a nonempty list")
         cases = tuple(
-            _parse_case(_mapping(c, f"cases[{i}]"), base_dir, default_id=f"case{i}")
-            for i, c in enumerate(case_docs)
+            _parse_case(_as(c, f"cases[{i}]", dict), f"cases[{i}].", base_dir, f"case{i}")
+            for i, c in enumerate(_get(doc, "cases", list))
         )
     else:
-        cases = (_parse_case(doc, base_dir, default_id=str(doc.get("id", "case0"))),)
+        cases = (_parse_case(doc, "", base_dir, "case0"),)
     if len({c.case_id for c in cases}) != len(cases):
         raise RunSpecError("case ids must be unique")
 
-    optimizer_docs = doc.get("optimizers")
-    if not isinstance(optimizer_docs, list) or not optimizer_docs:
-        raise RunSpecError("run-spec needs a nonempty 'optimizers' list")
-    optimizers = tuple(_parse_optimizer(o, i) for i, o in enumerate(optimizer_docs))
+    optimizers = tuple(_parse_optimizer(o, i) for i, o in enumerate(_get(doc, "optimizers", list)))
     if len({o.label for o in optimizers}) != len(optimizers):
         raise RunSpecError("optimizer entries must have distinct labels")
-
-    budgets = doc.get("budgets")
-    if not isinstance(budgets, list) or not budgets:
-        raise RunSpecError("run-spec needs a nonempty 'budgets' list")
-
-    output_dir = Path(doc.get("output_dir", "out"))
-    if not output_dir.is_absolute():
-        output_dir = base_dir / output_dir
 
     return RunSpec(
         cases=cases,
         optimizers=optimizers,
-        budgets=tuple(_number(b, "budgets", int) for b in budgets),
-        population_size=_number(doc.get("population_size", 10), "population_size", int),
-        repeats=_number(doc.get("repeats", 1), "repeats", int),
-        p=_number(doc.get("p", 0.3), "p", float),
-        seed=_number(doc.get("seed", 0), "seed", int),
-        output_dir=output_dir,
+        budgets=tuple(_get(doc, "budgets", [int])),
+        population_size=_get(doc, "population_size", int, TunerParams.population_size),
+        repeats=_get(doc, "repeats", int, 1),
+        p=_get(doc, "p", float, TunerParams.target_proportion),
+        seed=_get(doc, "seed", int, 0),
+        output_dir=base_dir / _get(doc, "output_dir", str, "out"),
         digest=digest,
     )

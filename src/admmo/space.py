@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import operator
 import random
+import sys
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -46,6 +47,8 @@ class OptionSpec:
             raise ValueError(f"unknown option kind {self.kind!r}")
         if self.kind == INTEGER and self.lo > self.hi:
             raise ValueError(f"option {self.name!r}: lo {self.lo} > hi {self.hi}")
+        if self.kind == INTEGER and self.hi - self.lo >= sys.maxsize:
+            raise ValueError(f"option {self.name!r}: too many values to index")
         if self.kind == CATEGORICAL:
             if len(self.levels) < 2:
                 raise ValueError(f"option {self.name!r}: categorical needs >= 2 levels")

@@ -73,7 +73,8 @@ TRIGGER_MODES = (TRIGGER_PROGRESSIVE, TRIGGER_CONSTANT)
 
 @dataclass(frozen=True)
 class TunerParams:
-    """The numbers a run is given; defaults follow the standard setup."""
+    """The numbers a run is given; defaults follow the standard setup. The
+    messages name the run-spec's keys: ``target_proportion`` is its ``p``."""
 
     budget: int
     population_size: int = 10
@@ -81,9 +82,9 @@ class TunerParams:
 
     def __post_init__(self) -> None:
         if self.population_size < 2:
-            raise ValueError("population size must be at least 2")
+            raise ValueError("'population_size' must be at least 2")
         if not 0 < self.target_proportion <= 1:
-            raise ValueError("target proportion must lie in (0, 1]")
+            raise ValueError("p must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
