@@ -191,6 +191,8 @@ def load_table(
     configuration. Lines starting with '#' are comments. Duplicate rows
     must agree exactly; conflicting duplicates are an error.
     """
+    if not delimiter:
+        raise ValueError("delimiter must not be empty")
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
     data_lines = [

@@ -72,15 +72,15 @@ class RunSpec:
 
 
 _REQUIRED = object()
-_EXPECTED = {int: "an integer", float: "a number", bool: "true or false", str: "a string",
-             dict: "a mapping", list: "a nonempty list"}
+_EXPECTED = {int: "an integer", float: "a number", bool: "true or false",
+             str: "a nonempty string", dict: "a mapping", list: "a nonempty list"}
 
 
 def _as(value, key: str, kind):
     """``value`` read as ``kind``, or a RunSpecError that names ``key``.
 
     int and float convert as ``int("3")`` and ``float(True)`` do, but a
-    fractional number is no int; list is a nonempty list, ``[k]`` a nonempty
+    fractional number is no int; str and list are nonempty, ``[k]`` is a
     list of ``k`` values named ``key``, and a tuple any one of its types.
     """
     if isinstance(kind, list):
@@ -93,7 +93,7 @@ def _as(value, key: str, kind):
         fractional = kind is int and isinstance(value, float) and number != value
         if number is not None and not fractional:
             return number
-    elif isinstance(value, kind) and (kind is not list or value):
+    elif isinstance(value, kind) and (kind not in (str, list) or value):
         return value
     expected = " or ".join(_EXPECTED[k] for k in (kind if isinstance(kind, tuple) else (kind,)))
     raise RunSpecError(f"{key!r} must be {expected}, got {value!r}")

@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, repeat
 from operator import neg
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .mmo import Individual, compute_meta_union, normalize_union
 from .nsga2 import (
@@ -298,6 +298,30 @@ def extend_walk(points: list[float], up: bool, length: int) -> None:
         points[cut:] = repeat(WEIGHT_MIN, length - cut)
 
 
+def weight_thresholds(unique: Iterable[Individual]) -> list[float]:
+    """The sorted threshold weights of the distinct configurations ``unique``:
+    (t, a) dominates (t', a') at w >= 0 iff t < t' and w * |a - a'| <= t' - t,
+    so (t', a') is nondominated iff w exceeds the largest (t' - t) / |a - a'|
+    over the configurations with t < t': +inf if one has a = a', -inf if there
+    is none. p' at w is ``bisect_left(thresholds, w) / len(thresholds)``.
+    """
+    points = sorted((ind.f_t_norm, ind.f_a_norm) for ind in unique)
+    thresholds = []
+    for t, a in points:
+        theta = -math.inf
+        try:
+            for t0, a0 in points:
+                if t0 == t:  # past the points with a lower t
+                    break
+                ratio = (t - t0) / abs(a0 - a)
+                if ratio > theta:
+                    theta = ratio
+        except ZeroDivisionError:  # a lower t with the same a
+            theta = math.inf
+        thresholds.append(theta)
+    return sorted(thresholds)
+
+
 def adapt_weight(union: list[Individual], w: float, target: float) -> float:
     """Walk the weight until the unique-nondominated proportion hits ``target``.
 
@@ -309,58 +333,31 @@ def adapt_weight(union: list[Individual], w: float, target: float) -> float:
     that lies on the bound it heads for; after ``ADAPT_ITERATION_CAP``
     points without a stop it ends on the next point. It never turns round.
 
-    As p' is monotone in w, "the walk stops here" is false and then true
-    along the points, so the first stop is found by galloping (points 1,
-    2, 4, ...) and bisecting, measuring p' at a handful of points instead
-    of at every one. Near ties can break that monotonicity (see the
-    README); the weight returned is then still a stop of the walk, if not
-    always its first. The union is deduplicated once, since it is fixed
-    during the walk, and its meta-objectives are left computed at the
-    returned weight.
+    p' is read off :func:`weight_thresholds`, so "the walk stops here" is
+    false and then true along the points: their number is doubled until
+    one stops the walk, and one bisection finds the first. The union's
+    meta-objectives are left computed at the returned weight.
     """
-    unique, _ = split_duplicates(union)
+    thresholds = weight_thresholds({ind.config: ind for ind in union}.values())
+
+    def gap(x: float) -> float:
+        return bisect_left(thresholds, x) / len(thresholds) - target
+
+    def stops(x: float) -> bool:
+        return (gap(x) >= 0 or x >= WEIGHT_MAX) if up else (gap(x) <= 0 or x <= WEIGHT_MIN)
+
+    up = gap(w) < 0
     points = [w]
-    gaps: dict[float, float] = {}
-
-    def point(i: int) -> float:
-        if len(points) <= i:
-            extend_walk(points, up, i + 1)
-        return points[i]
-
-    def gap(i: int) -> float:
-        x = point(i)
-        if x not in gaps:
-            gaps[x] = unique_nondominated_proportion(unique, x).value - target
-        return gaps[x]
-
-    def reached(i: int) -> bool:
-        return gap(i) == 0 or (gap(i) > 0) == up
-
-    def stops(i: int) -> bool:
-        return reached(i) or (point(i) >= WEIGHT_MAX if up else point(i) <= WEIGHT_MIN)
-
-    up = gap(0) < 0
-    last = ADAPT_ITERATION_CAP - 1
-    lo = hi = 0
-    while not stops(hi) and hi < last:
-        lo, hi = hi, min(max(2 * hi, 1), last)
-    if not stops(hi):
-        hi = ADAPT_ITERATION_CAP
-    elif reached(hi):
-        # Otherwise hi lies on the bound short of the target, and so does
-        # the walk's first bound point, where it stops: the same weight.
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if stops(mid) else (mid, hi)
-        if gap(hi) != 0:
-            # Oscillation: the target sits between two lattice values of p';
-            # the nearer one wins, and on a tie the smaller w, hi - 1 going up.
-            before, after = abs(gap(hi - 1)), abs(gap(hi))
-            if before < after or (before == after and up):
-                hi -= 1
-    w = point(hi)
-    compute_meta_union(union, w)
-    return w
+    while not stops(points[-1]) and len(points) <= ADAPT_ITERATION_CAP:
+        extend_walk(points, up, min(2 * len(points), ADAPT_ITERATION_CAP + 1))
+    i = min(bisect_left(points, True, key=stops), ADAPT_ITERATION_CAP)
+    if i < ADAPT_ITERATION_CAP and (gap(points[i]) > 0 if up else gap(points[i]) < 0):
+        # Oscillation: the nearer p' wins, and on a tie the smaller w, i - 1 going up.
+        before, after = abs(gap(points[i - 1])), abs(gap(points[i]))
+        if before < after or (before == after and up):
+            i -= 1
+    unique_nondominated_proportion(union, points[i])
+    return points[i]
 
 
 def partial_duplicate_survival(union: list[Individual], capacity: int) -> list[Individual]:

@@ -142,6 +142,12 @@ class TestRunSpec:
             ("p", 1.5, "p must lie in (0, 1]"),
             ("repeats", 0, "repeats must be positive"),
             ("budgets", [3], "every budget must be at least the population size"),
+            (
+                "oracle",
+                {"kind": "table", "path": "table.csv", "target_column": "runtime",
+                 "auxiliary_column": "cpu", "delimiter": ""},
+                "'oracle.delimiter' must be a nonempty string, got ''",
+            ),
         ],
     )
     def test_malformed_entry_exits_2_naming_the_key(self, spec_dir, capsys, key, value, named):

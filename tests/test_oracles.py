@@ -154,6 +154,10 @@ class TestLoadTable(object):
         with pytest.raises(TableFormatError, match="'cache'"):
             load_table(path, self.SPACE, "t", "a")
 
+    def test_empty_delimiter_rejected_before_the_file_is_read(self, tmp_path):
+        with pytest.raises(ValueError, match="delimiter"):
+            load_table(tmp_path / "absent.csv", self.SPACE, "t", "a", delimiter="")
+
     def test_conflicting_duplicate_names_line(self, tmp_path):
         path = self.write(
             tmp_path,

@@ -96,10 +96,13 @@ ANY_VALUE = st.one_of(
 
 
 def near_domain(opt: OptionSpec):
-    """Values of the option's domain, as they are or as floats, or anything."""
-    in_domain = st.sampled_from(opt.domain_values())
-    as_float = in_domain.filter(lambda v: isinstance(v, int)).map(float)
-    return st.one_of(in_domain, as_float, ANY_VALUE)
+    """Values of the option's domain, as they are or, for an integer-valued
+    domain, as floats; or anything."""
+    values = opt.domain_values()
+    in_domain = st.sampled_from(values)
+    if not all(isinstance(v, int) for v in values):
+        return st.one_of(in_domain, ANY_VALUE)
+    return st.one_of(in_domain, in_domain.map(float), ANY_VALUE)
 
 
 @given(space=mixed_spaces(), data=st.data())

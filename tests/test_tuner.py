@@ -2,12 +2,18 @@
 
 import math
 import random
+from bisect import bisect_left
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from admmo import (
+    BenchCase,
+    Individual,
+    OptimizerSpec,
     TunerParams,
     TunerState,
     adapt_weight,
@@ -25,6 +31,7 @@ from admmo import (
     update_stagnation,
 )
 from admmo import tuner
+from admmo.runspec import load_runspec
 
 from conftest import make_individual, meta_unions, names_of
 
@@ -158,18 +165,31 @@ def two_point_union():
     ]
 
 
-def linear_adapt_weight(union, w, target):
+def threshold_proportion(unique):
+    """p' at any weight, counted off the thresholds of ``unique``."""
+    thresholds = tuner.weight_thresholds(unique)
+    return lambda w: bisect_left(thresholds, w) / len(unique)
+
+
+def sweep_proportion(unique):
+    """p' at any weight, as the sweep over the meta-objectives counts it."""
+    return lambda w: tuner.unique_nondominated_proportion(unique, w).value
+
+
+def linear_adapt_weight(union, w, target, proportion=threshold_proportion):
     """The reference walk: measures p' at every point until it stops.
 
     ``tuner.adapt_weight`` must return the same weight and leave the same
-    meta-objectives wherever p' is monotone along the walk.
+    meta-objectives. ``proportion`` makes the p' of the unique
+    configurations at any weight.
     """
     unique, _ = tuner.split_duplicates(union)
+    p_at = proportion(unique)
     prev_sign = 0
     prev_w = w
     prev_gap = math.inf
     for _ in range(tuner.ADAPT_ITERATION_CAP):
-        p_now = tuner.unique_nondominated_proportion(unique, w).value
+        p_now = p_at(w)
         if p_now == target:
             break
         sign = 1 if p_now < target else -1
@@ -270,11 +290,8 @@ LATTICE_STARTS = [
     *(random.Random(seed).uniform(0, 1000) for seed in range(6)),
 ]
 LATTICE_LENGTH = tuner.ADAPT_ITERATION_CAP + 1  # the cap's point is the last a walk reaches
-# the points adapt_weight asks for, in order: it gallops to cap - 1, then takes the cap's point
-GALLOP_INDICES = [2**k for k in range(14)] + [
-    tuner.ADAPT_ITERATION_CAP - 1,
-    tuner.ADAPT_ITERATION_CAP,
-]
+# the lengths adapt_weight asks for, in order: it doubles up to the cap's point
+WALK_LENGTHS = [2**k for k in range(1, 14)] + [LATTICE_LENGTH]
 
 
 def bits(points):
@@ -293,9 +310,9 @@ class TestExtendWalk:
     def test_gallop_requests_match_the_loop(self, start, up):
         reference = linear_walk_points(start, up, LATTICE_LENGTH)
         points = [start]
-        for i in GALLOP_INDICES:
-            tuner.extend_walk(points, up, i + 1)
-            assert bits(points) == bits(reference[: i + 1])
+        for length in WALK_LENGTHS:
+            tuner.extend_walk(points, up, length)
+            assert bits(points) == bits(reference[:length])
 
     def test_every_length_one_point_at_a_time(self, start, up):
         points = [start]
@@ -331,6 +348,109 @@ class TestExtendWalkResumes:
         assert bits(points) == bits(reference)
 
 
+def exact_nondominated(unique, w):
+    """How many of ``unique`` no other one dominates at ``w``, comparing
+    every pair's meta-objectives in exact rational arithmetic."""
+    w = Fraction(w)
+    meta = [
+        (t + w * a, t - w * a)
+        for t, a in ((Fraction(ind.f_t_norm), Fraction(ind.f_a_norm)) for ind in unique)
+    ]
+    return sum(
+        not any(g1 <= h1 and g2 <= h2 and (g1 < h1 or g2 < h2) for g1, g2 in meta)
+        for h1, h2 in meta
+    )
+
+
+# weights of the walk's lattice: coarse steps up from 0, fine steps down from 0.1, the bound
+LATTICE_WEIGHTS = (
+    linear_walk_points(0.0, True, 101) + linear_walk_points(0.1, False, 101) + [tuner.WEIGHT_MAX]
+)
+
+
+class TestWeightThresholds:
+    def test_worked_pair(self):
+        # the pair becomes incomparable just above w = 0.2 / 0.7
+        expected = [-math.inf, (0.4 - 0.2) / (0.8 - 0.1)]
+        assert tuner.weight_thresholds(two_point_union()) == expected
+
+    def test_same_auxiliary_value_is_dominated_at_every_weight(self):
+        union = [make_individual(i, f_t_norm=0.2 * i, f_a_norm=0.5) for i in range(3)]
+        assert tuner.weight_thresholds(union) == [-math.inf, math.inf, math.inf]
+
+    def test_equal_target_values_never_dominate(self):
+        union = [make_individual(i, f_t_norm=0.5, f_a_norm=i / 4) for i in range(5)]
+        assert tuner.weight_thresholds(union) == [-math.inf] * 5
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        points=st.lists(st.tuples(UNIT_FLOATS, UNIT_FLOATS), min_size=1, max_size=12),
+        weights=st.lists(st.sampled_from(LATTICE_WEIGHTS), min_size=1, max_size=8),
+    )
+    def test_count_below_a_lattice_weight_is_the_exact_count(self, points, weights):
+        unique = walk_union(points, range(len(points)))
+        thresholds = tuner.weight_thresholds(unique)
+        assert thresholds == sorted(thresholds)
+        for w in weights:
+            assert bisect_left(thresholds, w) == exact_nondominated(unique, w)
+
+
+def recorded_walks(case, params, specs, seeds):
+    """(union, start weight) of every iteration of seeded ``evolve`` runs:
+    the union as ``union_observer`` sees it and the weight the iteration
+    started from."""
+    walks = []
+    for spec in specs:
+        for seed in seeds:
+            unions = {}
+
+            def observe(iteration, union):
+                unions[iteration] = [(i.config, i.raw, i.f_t_norm, i.f_a_norm) for i in union]
+
+            run = tuner.evolve(case.space, case.oracle, params, seed, spec, union_observer=observe)
+            walks += [(unions[i], run.trajectory[i - 1].w) for i in range(1, len(run.trajectory))]
+    return walks
+
+
+def rebuilt(snapshot):
+    union = []
+    for config, raw, f_t_norm, f_a_norm in snapshot:
+        ind = Individual(config, raw)
+        ind.f_t_norm, ind.f_a_norm = f_t_norm, f_a_norm
+        union.append(ind)
+    return union
+
+
+DEMO_SPEC = Path(__file__).resolve().parents[1] / "demos" / "data" / "demo-spec.yaml"
+ADMMO_SPECS = (OptimizerSpec("admmo"), OptimizerSpec("admmo", duplicates_mode="remove_all"))
+
+
+def nk_walks():
+    oracle = synthetic_landscape(12, 2, 4, seed=101)
+    case = BenchCase("nk", oracle.space, oracle)
+    params = TunerParams(budget=200, target_proportion=0.3)
+    return recorded_walks(case, params, ADMMO_SPECS, range(1, 6))
+
+
+def table_walks():
+    spec = load_runspec(DEMO_SPEC)
+    params = TunerParams(min(spec.budgets), spec.population_size, spec.p)
+    return recorded_walks(spec.cases[0], params, ADMMO_SPECS, (1, 2))
+
+
+@pytest.mark.parametrize("walks", [nk_walks, table_walks], ids=["nk", "demo-table"])
+def test_walk_on_recorded_unions_matches_the_sweep_walk(walks):
+    # Real unions have no near ties, so the sweep's p' is the thresholds'
+    # at every point of every walk, and the weights are the float sweep's.
+    walks = walks()
+    assert len(walks) > 100
+    for snapshot, w0 in walks:
+        union, reference = rebuilt(snapshot), rebuilt(snapshot)
+        expected = linear_adapt_weight(reference, w0, 0.3, sweep_proportion)
+        assert adapt_weight(union, w0, 0.3) == expected
+        assert [(ind.g1, ind.g2) for ind in union] == [(ind.g1, ind.g2) for ind in reference]
+
+
 class TestAdaptWeight:
     def test_entry_proportion_already_on_target(self):
         union = two_point_union()
@@ -356,6 +476,17 @@ class TestAdaptWeight:
         # walking down, the smaller weight is the later point
         union = two_point_union()
         assert adapt_weight(union, 0.5, 0.75) == pytest.approx(0.2)
+
+    def test_a_point_on_its_threshold_is_still_dominated(self):
+        # (0, 0) dominates (0.5, 1) up to w = 0.5 inclusive, a point of the walk
+        union = [
+            make_individual(0, f_t_norm=0.0, f_a_norm=0.0),
+            make_individual(1, f_t_norm=0.5, f_a_norm=1.0),
+        ]
+        points = linear_walk_points(0.1, True, 6)
+        assert points[4] == 0.5
+        assert tuner.weight_thresholds(union) == [-math.inf, 0.5]
+        assert adapt_weight(union, 0.1, 1.0) == points[5]
 
     def test_sticks_at_upper_bound(self):
         # equal auxiliary values make p' weight-independent at 1/3 < target
@@ -396,7 +527,7 @@ class TestAdaptWeight:
                 assert w1 == w0
 
     @settings(max_examples=60, deadline=None)
-    @given(walk=st.one_of(walk_inputs(GRID), walk_inputs(UNIT_FLOATS)))
+    @given(walk=st.one_of(walk_inputs(GRID), walk_inputs(UNIT_FLOATS), walk_inputs(NEAR_TIES)))
     def test_matches_the_linear_walk(self, walk):
         points, picks, w0, target = walk
         union = walk_union(points, picks)
@@ -412,39 +543,13 @@ class TestAdaptWeight:
         points = [(0.5, c / 4) for c in range(5)]
         calls = counting_evaluations(monkeypatch)
         reference = walk_union(points, range(5))
-        assert linear_adapt_weight(reference, w0, 0.5) == expected
+        assert linear_adapt_weight(reference, w0, 0.5, sweep_proportion) == expected
         assert len(calls) == tuner.ADAPT_ITERATION_CAP
         calls.clear()
         union = walk_union(points, range(5))
         assert adapt_weight(union, w0, 0.5) == expected
-        assert len(calls) == 16
+        assert calls == [expected]  # the one count that leaves the meta-objectives there
         assert [(ind.g1, ind.g2) for ind in union] == [(ind.g1, ind.g2) for ind in reference]
-
-    @settings(max_examples=60, deadline=None)
-    @given(walk=st.one_of(walk_inputs(GRID), walk_inputs(UNIT_FLOATS), walk_inputs(NEAR_TIES)))
-    def test_stops_where_the_walk_may_stop(self, walk):
-        # Holds with or without monotone p', near ties included: the weight
-        # is an exact hit, either end of adjacent points where p' crosses
-        # the target, the bound the walk heads for, or the cap's point.
-        points, picks, w0, target = walk
-        union = walk_union(points, picks)
-        w = adapt_weight(union, w0, target)
-
-        def reached(x):
-            p = unique_nondominated_proportion(union, x).value
-            return p >= target if up else p <= target
-
-        p0 = unique_nondominated_proportion(union, w0).value
-        up = p0 < target
-        walk_points = linear_walk_points(w0, up, tuner.ADAPT_ITERATION_CAP + 1)
-        i = walk_points.index(w)
-        assert (
-            unique_nondominated_proportion(union, w).value == target
-            or (i > 0 and reached(w) != reached(walk_points[i - 1]))
-            or (i < len(walk_points) - 1 and reached(w) != reached(walk_points[i + 1]))
-            or w == (tuner.WEIGHT_MAX if up else tuner.WEIGHT_MIN)
-            or i == tuner.ADAPT_ITERATION_CAP
-        )
 
 
 class TestNearTies:
