@@ -41,6 +41,11 @@ RUN_DIGESTS = {
 
 DEMO_SUMMARY_DIGEST = "d91697420015a8c7184a4101f2504145db86b0d4e10c2205f55820f5871215ee"
 
+# sha256 over the relative path and bytes of every file that bench then
+# report write for the demo spec, and of the files tune writes for it
+DEMO_CAMPAIGN_FILES_DIGEST = "01016f4a882e9b334306bc470a6c26f26cf95f5713eb275c294ad40692b5f825"
+DEMO_TUNE_FILES_DIGEST = "425aa15f5b278045936d3c6fa024761414d13feecc4407c258e2980f01458d87"
+
 
 def runs_digest(label: str) -> str:
     oracle = synthetic_landscape(12, 2, 4, seed=101)
@@ -54,6 +59,15 @@ def runs_digest(label: str) -> str:
     return digest.hexdigest()
 
 
+def files_digest(out: Path) -> str:
+    digest = hashlib.sha256()
+    for path in sorted(p for p in out.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        digest.update(f"{path.relative_to(out).as_posix()}\0{len(data)}\0".encode())
+        digest.update(data)
+    return digest.hexdigest()
+
+
 @pytest.mark.parametrize("label", sorted(SPECS))
 def test_seeded_runs_match_their_golden_digest(label):
     assert runs_digest(label) == RUN_DIGESTS[label]
@@ -64,3 +78,11 @@ def test_demo_campaign_summary_matches_its_golden_digest(tmp_path, jobs):
     out = tmp_path / "campaign"
     assert main(["bench", str(DEMO_SPEC), "--out", str(out), "--jobs", str(jobs)]) == 0
     assert hashlib.sha256((out / "summary.json").read_bytes()).hexdigest() == DEMO_SUMMARY_DIGEST
+    assert main(["report", str(out)]) == 0
+    assert files_digest(out) == DEMO_CAMPAIGN_FILES_DIGEST
+
+
+def test_demo_tune_files_match_their_golden_digest(tmp_path):
+    out = tmp_path / "tune"
+    assert main(["tune", str(DEMO_SPEC), "--out", str(out)]) == 0
+    assert files_digest(out) == DEMO_TUNE_FILES_DIGEST
