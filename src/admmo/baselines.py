@@ -37,7 +37,6 @@ def run_rs(
     oracle: MeasurementOracle,
     params: TunerParams,
     seed: int,
-    run_id: str | None = None,
 ) -> TuningRun:
     """Random search: uniform draws until the budget (or the space) is spent.
 
@@ -62,7 +61,7 @@ def run_rs(
         trajectory.append(
             IterationRecord(ledger.consumed, ledger.consumed, None, None, None, best.raw.f_t)
         )
-    return finish_run(run_id, "rs", seed, params, best, ledger, trajectory)
+    return finish_run("rs", best, ledger, trajectory)
 
 
 def _raw_target_tournament(
@@ -85,7 +84,6 @@ def run_ga(
     oracle: MeasurementOracle,
     params: TunerParams,
     seed: int,
-    run_id: str | None = None,
 ) -> TuningRun:
     """Single-objective elitist GA on the raw target objective.
 
@@ -109,7 +107,7 @@ def run_ga(
                 iteration, ledger.consumed, None, None, state.stagnation, state.best.raw.f_t
             )
         )
-    return finish_run(run_id, "ga", seed, params, state.best, ledger, trajectory)
+    return finish_run("ga", state.best, ledger, trajectory)
 
 
 def run_optimizer(
@@ -118,12 +116,11 @@ def run_optimizer(
     oracle: MeasurementOracle,
     params: TunerParams,
     seed: int,
-    run_id: str | None = None,
 ) -> TuningRun:
     """Dispatch a single run for any optimizer spec: every kind but random
     search and the GA runs the shared loop of ``tuner.evolve``."""
     if spec.kind == "rs":
-        return run_rs(space, oracle, params, seed, run_id)
+        return run_rs(space, oracle, params, seed)
     if spec.kind == "ga":
-        return run_ga(space, oracle, params, seed, run_id)
-    return evolve(space, oracle, params, seed, spec, run_id=run_id)
+        return run_ga(space, oracle, params, seed)
+    return evolve(space, oracle, params, seed, spec)

@@ -50,8 +50,8 @@ NOT_ACHIEVED_MARK = "✗"  # the "not achieved" cross in speedup tables
 def run_id(case_id: str, label: str, budget: int, rep: int) -> str:
     """The id of one campaign run, which also names its output files.
 
-    It lives here rather than in the harness, which assigns it, so that
-    report can find a campaign's files without loading the tuner."""
+    bench assigns it and report reads it back, so it lives here rather
+    than in the harness: report must not load the tuner."""
     return f"{case_id}__{label}__b{budget}__r{rep}"
 
 
@@ -82,28 +82,19 @@ def _write_csv(path: Path, header_lines: list[str], fields: tuple[str, ...], row
             writer.writerow([_format_cell(v) for v in row])
 
 
-def _trajectory_rows(run: TuningRun):
-    for rec in run.trajectory:
-        yield (run.run_id, *(getattr(rec, name) for name in TRAJECTORY_FIELDS[1:]))
-
-
-def _convergence_rows(run: TuningRun):
-    for i, best in enumerate(run.best_by_measurement):
-        yield (run.run_id, i + 1, best)
-
-
-def _write_run_files(run: TuningRun, out_dir: Path, provenance: list[str]) -> None:
+def _write_run_files(rid: str, run: TuningRun, out_dir: Path, provenance: list[str]) -> None:
+    """Write one run's trajectory and convergence tables, named by its id."""
     _write_csv(
-        out_dir / "trajectories" / f"{run.run_id}.csv",
+        out_dir / "trajectories" / f"{rid}.csv",
         provenance,
         TRAJECTORY_FIELDS,
-        _trajectory_rows(run),
+        ((rid, *(getattr(rec, name) for name in TRAJECTORY_FIELDS[1:])) for rec in run.trajectory),
     )
     _write_csv(
-        out_dir / "convergence" / f"{run.run_id}.csv",
+        out_dir / "convergence" / f"{rid}.csv",
         provenance,
         CONVERGENCE_FIELDS,
-        _convergence_rows(run),
+        ((rid, i + 1, best) for i, best in enumerate(run.best_by_measurement)),
     )
 
 
@@ -167,14 +158,14 @@ def cmd_tune(args) -> int:
         return 2
 
     params = _tuner_params(spec, budget)
-    run_id = f"{case.case_id}__{optimizer.label}__b{budget}__s{spec.seed}"
-    run = run_optimizer(optimizer, case.space, case.oracle, params, spec.seed, run_id=run_id)
+    rid = f"{case.case_id}__{optimizer.label}__b{budget}__s{spec.seed}"
+    run = run_optimizer(optimizer, case.space, case.oracle, params, spec.seed)
 
     _remove_outputs(out_dir, TUNE_OUTPUTS)
     provenance = _provenance(spec.digest, spec.seed)
-    _write_run_files(run, out_dir, provenance)
+    _write_run_files(rid, run, out_dir, provenance)
     best = {
-        "run_id": run.run_id,
+        "run_id": rid,
         "case": case.case_id,
         "optimizer": optimizer.label,
         "seed": spec.seed,
@@ -189,7 +180,7 @@ def cmd_tune(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "best.json").write_text(json.dumps(best, indent=2, sort_keys=True) + "\n")
     print(
-        f"{run.run_id}: best f_t = {run.best_f_t:.6g} "
+        f"{rid}: best f_t = {run.best_f_t:.6g} "
         f"after {run.measurements_used} measurements -> {out_dir}"
     )
     return 0
@@ -222,10 +213,11 @@ def cmd_bench(args) -> int:
     _remove_outputs(out_dir, CAMPAIGN_OUTPUTS)
     provenance = _provenance(spec.digest, spec.seed)
     for case_result in results:
-        for per_budget in case_result.runs.values():
-            for runs in per_budget.values():
-                for run in runs:
-                    _write_run_files(run, out_dir, provenance)
+        for label, per_budget in case_result.runs.items():
+            for budget, runs in per_budget.items():
+                for rep, run in enumerate(runs):
+                    rid = run_id(case_result.case_id, label, budget, rep)
+                    _write_run_files(rid, run, out_dir, provenance)
 
     summary = campaign_summary(results)
     summary["artifact_version"] = __version__

@@ -43,7 +43,9 @@ def __getattr__(name: str):
 
 @dataclass
 class CaseResult:
-    """All runs of one case, keyed by optimizer label then budget."""
+    """All runs of one case, keyed by optimizer label then budget; each
+    list is in repeat order, so ``runs[label][budget][rep]`` ran at seed
+    ``base_seed + rep``."""
 
     case_id: str
     budgets: tuple[int, ...]
@@ -70,8 +72,8 @@ def _set_case(case: BenchCase | None) -> None:
 
 
 def _one_run(args) -> TuningRun:
-    spec, params, seed, rid = args
-    return run_optimizer(spec, _case.space, _case.oracle, params, seed, run_id=rid)
+    spec, params, seed = args
+    return run_optimizer(spec, _case.space, _case.oracle, params, seed)
 
 
 def run_campaign(
@@ -102,10 +104,8 @@ def run_campaign(
             result.runs[spec.label] = {int(b): [] for b in budgets}
             for budget in budgets:
                 run_params = replace(template, budget=int(budget))
-                for rep in range(repeats):
-                    rid = run_id(case.case_id, spec.label, budget, rep)
-                    tasks.append((spec, run_params, base_seed + rep, rid))
-        rid = None
+                tasks.extend((spec, run_params, base_seed + rep) for rep in range(repeats))
+        task = None
         _set_case(case)
         try:
             with sys.modules[__name__].ProcessPoolExecutor(
@@ -113,9 +113,11 @@ def run_campaign(
             ) if jobs > 1 else nullcontext() as pool:
                 outcomes = pool.map(_one_run, tasks) if pool else map(_one_run, tasks)
                 # outcomes come in task order, so a failure is the current task's
-                for spec, run_params, _, rid in tasks:
+                for task in tasks:
+                    spec, run_params, _ = task
                     result.runs[spec.label][run_params.budget].append(next(outcomes))
         except Exception as exc:  # noqa: BLE001 - per-case failures must not kill the campaign
+            rid = task and run_id(case.case_id, task[0].label, task[1].budget, task[2] - base_seed)
             result.error = f"run {rid}: {type(exc).__name__}: {exc}"
             result.runs = {}
         finally:
@@ -164,7 +166,7 @@ def mean_best_curve(runs: Sequence[TuningRun], budget: int) -> list[float]:
     for run in runs:
         curve = list(run.best_by_measurement)
         if not curve:
-            raise ValueError(f"run {run.run_id} has no measurements")
+            raise ValueError(f"a run of {run.optimizer} has no measurements")
         if len(curve) < budget:
             curve.extend([curve[-1]] * (budget - len(curve)))
         curves.append(curve[:budget])

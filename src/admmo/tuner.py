@@ -177,10 +177,7 @@ class TuningRun:
     off the same run.
     """
 
-    run_id: str
     optimizer: str
-    seed: int
-    budget: int
     best_config: Configuration
     best_f_t: float
     best_f_a: float
@@ -495,20 +492,14 @@ def breed(
 
 
 def finish_run(
-    run_id: str | None,
     optimizer: str,
-    seed: int,
-    params: TunerParams,
     best: Individual,
     ledger: BudgetLedger,
     trajectory: list[IterationRecord],
 ) -> TuningRun:
     """Package a finished run, with the best-so-far curve per charged measurement."""
     return TuningRun(
-        run_id=run_id or f"{optimizer}-s{seed}-b{params.budget}",
         optimizer=optimizer,
-        seed=seed,
-        budget=params.budget,
         best_config=best.config,
         best_f_t=best.raw.f_t,
         best_f_a=best.raw.f_a,
@@ -534,7 +525,6 @@ def evolve(
     seed: int,
     spec: OptimizerSpec = OptimizerSpec("admmo"),
     *,
-    run_id: str | None = None,
     union_observer=None,
 ) -> TuningRun:
     """The shared evolutionary loop behind the tuner, its variants and the
@@ -586,7 +576,7 @@ def evolve(
 
         state.population = select_survivors(union, params.population_size, duplicates_mode)
 
-    return finish_run(run_id, spec.label, seed, params, state.best, ledger, trajectory)
+    return finish_run(spec.label, state.best, ledger, trajectory)
 
 
 def _record(
@@ -611,8 +601,7 @@ def run_admmo(
     oracle: MeasurementOracle,
     params: TunerParams,
     seed: int,
-    run_id: str | None = None,
 ) -> TuningRun:
     """The adaptive tuner: progressive trigger, weight adaptation, and
     partial duplicate retention on top of the weighted meta-objectives."""
-    return evolve(space, oracle, params, seed, run_id=run_id)
+    return evolve(space, oracle, params, seed)

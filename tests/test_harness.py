@@ -31,13 +31,10 @@ from admmo import (
 from admmo import harness
 
 
-def fake_run(best_curve, run_id="r", optimizer="x", budget=None) -> TuningRun:
+def fake_run(best_curve, optimizer="x") -> TuningRun:
     curve = tuple(float(v) for v in best_curve)
     return TuningRun(
-        run_id=run_id,
         optimizer=optimizer,
-        seed=0,
-        budget=budget or len(curve),
         best_config=Configuration((0,)),
         best_f_t=curve[-1],
         best_f_a=0.0,
@@ -54,10 +51,7 @@ def case_with(final_bests: dict[str, dict[int, list[float]]]) -> CaseResult:
     for label, per_budget in final_bests.items():
         case.runs[label] = {}
         for budget, values in per_budget.items():
-            case.runs[label][budget] = [
-                fake_run([v] * budget, run_id=f"{label}-{budget}-{i}", optimizer=label)
-                for i, v in enumerate(values)
-            ]
+            case.runs[label][budget] = [fake_run([v] * budget, optimizer=label) for v in values]
     return case
 
 
@@ -237,8 +231,8 @@ class TestNormalizedPerformance:
 class TestSpeedup:
     def test_four_to_one(self):
         # counterpart reaches its final value at 400, the reference at 100
-        counterpart = [fake_run([5.0] * 399 + [1.0], budget=400)]
-        reference = [fake_run([2.0] * 99 + [1.0] * 301, budget=400)]
+        counterpart = [fake_run([5.0] * 399 + [1.0])]
+        reference = [fake_run([2.0] * 99 + [1.0] * 301)]
         assert speedup(counterpart, reference, 400) == pytest.approx(4.0)
 
     def test_identical_curves_give_one(self):
