@@ -236,6 +236,22 @@ def cmd_bench(args) -> int:
     return 1 if len(failed) == len(results) else 0
 
 
+def _case_entry_problem(entry: dict) -> str | None:
+    """Why report cannot read a summary's case entry, or None if it can."""
+    if "error" in entry:
+        return None
+    missing = [key for key in CASE_KEYS if key not in entry]
+    if missing:
+        return f"lacks {missing[0]!r}"
+    if not isinstance(entry["repeats"], int):
+        return f"has 'repeats' {entry['repeats']!r}, not an integer"
+    for label, means in entry["normalized_mean"].items():
+        absent = [b for b in entry["budgets"] if str(b) not in means]
+        if absent:
+            return f"lists budget {absent[0]} in 'budgets' but not in 'normalized_mean.{label}'"
+    return None
+
+
 def cmd_report(args) -> int:
     """Render the campaign summary into flat tables and trajectory series."""
     campaign_dir = Path(args.campaign_dir)
@@ -254,9 +270,9 @@ def cmd_report(args) -> int:
         print(f"error: campaign at {campaign_dir} contains no cases", file=sys.stderr)
         return 2
     for case_id, entry in sorted(cases.items()):
-        missing = [] if "error" in entry else [key for key in CASE_KEYS if key not in entry]
-        if missing:
-            print(f"error: case {case_id!r} in {summary_path} lacks {missing[0]!r}", file=sys.stderr)
+        problem = _case_entry_problem(entry)
+        if problem:
+            print(f"error: case {case_id!r} in {summary_path} {problem}", file=sys.stderr)
             return 2
 
     report_dir = Path(args.out) if args.out else campaign_dir / "report"

@@ -498,6 +498,21 @@ class TestReport:
         )
         assert not (tmp_path / "report").exists()
 
+    @pytest.mark.parametrize("change, message", [
+        ({"budgets": [10, 16, 99]}, "lists budget 99 in 'budgets' but not in 'normalized_mean.rs'"),
+        ({"repeats": "5"}, "has 'repeats' '5', not an integer"),
+    ])
+    def test_case_entry_of_the_wrong_shape_exits_2(self, tmp_path, capsys, change, message):
+        entry = {"budgets": [10, 16], "optimizers": ["rs"], "repeats": 1,
+                 "normalized_mean": {"rs": {"10": 0.5, "16": 0.25}}}
+        summary = {"budgets": [10, 16], "cases": {"c": {**entry, **change}}}
+        (tmp_path / "summary.json").write_text(json.dumps(summary))
+        assert main(["report", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: case 'c' in {tmp_path / 'summary.json'} {message}\n"
+        )
+        assert not (tmp_path / "report").exists()
+
     def test_unrelated_key_error_is_not_swallowed(self, spec_dir, monkeypatch):
         assert main(["bench", str(spec_dir / "spec.yaml")]) == 0
 

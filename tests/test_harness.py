@@ -4,7 +4,7 @@ import functools
 import itertools
 import pickle
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from multiprocessing import get_context
 
 import pytest
@@ -25,6 +25,7 @@ from admmo import (
     pairwise_comparisons,
     run_admmo,
     run_campaign,
+    run_optimizer,
     speedup,
     synthetic_landscape,
 )
@@ -121,6 +122,21 @@ class TestCampaign:
         seq = run_campaign(cases, optimizers, budgets=[20], repeats=2, base_seed=3, jobs=1)
         par = run_campaign(cases, optimizers, budgets=[20], repeats=2, base_seed=3, jobs=2)
         assert campaign_summary(seq) == campaign_summary(par)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_each_run_sits_at_its_repeat(self, jobs):
+        # the CLI names the run at runs[label][budget][rep] by rep, so that
+        # position must hold the run at seed base_seed + rep
+        case = self.make_cases()[0]
+        optimizers = [OptimizerSpec("admmo"), OptimizerSpec("ga"), OptimizerSpec("rs")]
+        params = TunerParams(budget=30, target_proportion=0.5)
+        result = run_campaign([case], optimizers, [20, 30], 3, 40, params=params, jobs=jobs)[0]
+        for spec in optimizers:
+            for budget in (20, 30):
+                assert result.runs[spec.label][budget] == [
+                    run_optimizer(spec, case.space, case.oracle, replace(params, budget=budget), 40 + rep)
+                    for rep in range(3)
+                ]
 
     def test_failing_case_reports_error_and_continues(self):
         good = self.make_cases()[0]
