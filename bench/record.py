@@ -16,7 +16,8 @@ one a traced run's per-layer times carry. From the root of a checkout:
 
 The exit code is 0 when every run is correct, every run has its
 ``host_slice_ms`` and every untraced run its ``raw`` line, and the tests
-pass, else 1. Standard library and perfbench's calibration loop only: the
+pass, else 1; each failed run's last stderr lines are printed under its
+summary line. Standard library and perfbench's calibration loop only: the
 benchmark runs as a separate command.
 """
 
@@ -113,6 +114,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{run['workload']} seed {run['seed']} trace {run['trace']}: "
               f"correct={run['correct']} host_slice_ms: {run['host_slice_ms']} "
               f"raw: {run.get('raw')}", file=sys.stderr)
+        for line in run.get("stderr_tail", []):
+            print(f"  {line}", file=sys.stderr)
     tier1 = time_tier1()
     print(f"tier-1: {tier1['summary']} ({tier1['wall_s']} s)", file=sys.stderr)
 

@@ -11,6 +11,7 @@ from identical populations.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 from .mmo import Individual
 # re-exported: the GA's variation runs through tuner.breed, but callers and
@@ -41,27 +42,21 @@ def run_rs(
     """Random search: uniform draws until the budget (or the space) is spent.
 
     Duplicate draws cost nothing, so a run charges exactly
-    min(budget, |space|) measurements.
+    min(budget, |space|) measurements, each one a row of the trajectory.
     """
     if params.budget < 1:
         raise ValueError("random search needs a budget of at least 1")
     rng = random.Random(seed)
     ledger = BudgetLedger(budget=params.budget)
     target = min(params.budget, space.size())
-    best: Individual | None = None
-    trajectory: list[IterationRecord] = []
     while ledger.consumed < target:
-        consumed_before = ledger.consumed
-        config = space.random_config(rng)
-        sample = measure(oracle, config, ledger)
-        if ledger.consumed == consumed_before:
-            continue
-        if best is None or sample.f_t < best.raw.f_t:
-            best = Individual(config, sample)
-        trajectory.append(
-            IterationRecord(ledger.consumed, ledger.consumed, None, None, None, best.raw.f_t)
-        )
-    return finish_run("rs", best, ledger, trajectory)
+        measure(oracle, space.random_config(rng), ledger)
+    run = finish_run("rs", ledger, [])
+    trajectory = (
+        IterationRecord(b, b, None, None, None, best)
+        for b, best in enumerate(run.best_by_measurement, 1)
+    )
+    return replace(run, trajectory=tuple(trajectory))
 
 
 def _raw_target_tournament(
@@ -107,7 +102,7 @@ def run_ga(
                 iteration, ledger.consumed, None, None, state.stagnation, state.best.raw.f_t
             )
         )
-    return finish_run("ga", state.best, ledger, trajectory)
+    return finish_run("ga", ledger, trajectory)
 
 
 def run_optimizer(

@@ -95,6 +95,8 @@ def run_campaign(
     """
     if repeats < 1:
         raise ValueError("repeats must be positive")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     template = params or TunerParams(budget=max(budgets))
     results = []
     for case in cases:

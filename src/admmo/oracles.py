@@ -88,21 +88,24 @@ class MeasurementOracle(Protocol):
 
 @dataclass
 class BudgetLedger:
-    """Tracks consumed measurements and caches every sample seen.
+    """The budget and the record of a run's charges.
 
-    ``consumed`` counts distinct charged configurations only; the charge
-    log preserves charge order so best-so-far trajectories per
-    measurement count can be reconstructed afterwards.
+    ``cache`` is that record: each distinct configuration charged, with
+    its sample, in charge order, so best-so-far trajectories per
+    measurement count can be read off it afterwards. ``consumed`` is its
+    length.
     """
 
     budget: int
-    consumed: int = 0
     cache: dict[Configuration, PerfSample] = field(default_factory=dict)
-    charge_log: list[tuple[Configuration, PerfSample]] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if self.budget < 0:
             raise ValueError("budget must be nonnegative")
+
+    @property
+    def consumed(self) -> int:
+        return len(self.cache)
 
     @property
     def remaining(self) -> int:
@@ -128,8 +131,6 @@ def measure(oracle: MeasurementOracle, config: Configuration, ledger: BudgetLedg
         )
     sample = oracle.sample(config)
     ledger.cache[config] = sample
-    ledger.charge_log.append((config, sample))
-    ledger.consumed += 1
     return sample
 
 

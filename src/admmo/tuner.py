@@ -174,7 +174,8 @@ class TuningRun:
 
     ``best_by_measurement[i]`` is the best target value after the first
     i+1 charged measurements, so any smaller budget's outcome can be read
-    off the same run.
+    off the same run. ``best_config`` is the first charged configuration
+    with the least target value: ties go to the one charged first.
     """
 
     optimizer: str
@@ -446,14 +447,10 @@ def generations(space: ConfigSpace, ledger: BudgetLedger, params: TunerParams) -
     the space has been measured, or when ``STALL_ITERATION_CAP``
     iterations in a row charge no new measurement.
     """
-    space_size = space.size()
+    limit = min(params.budget, space.size())
     iteration = 0
     stalled = 0
-    while (
-        ledger.consumed < params.budget
-        and len(ledger.cache) < space_size
-        and stalled < STALL_ITERATION_CAP
-    ):
+    while ledger.consumed < limit and stalled < STALL_ITERATION_CAP:
         iteration += 1
         consumed_before = ledger.consumed
         yield iteration
@@ -493,19 +490,21 @@ def breed(
 
 def finish_run(
     optimizer: str,
-    best: Individual,
     ledger: BudgetLedger,
     trajectory: list[IterationRecord],
 ) -> TuningRun:
-    """Package a finished run, with the best-so-far curve per charged measurement."""
+    """Package a finished run, read off the ledger's charges: the best is
+    the first charged configuration with the least target value, and the
+    best-so-far curve has one entry per charged measurement."""
+    best_config, best = min(ledger.cache.items(), key=lambda charge: charge[1].f_t)
     return TuningRun(
         optimizer=optimizer,
-        best_config=best.config,
-        best_f_t=best.raw.f_t,
-        best_f_a=best.raw.f_a,
+        best_config=best_config,
+        best_f_t=best.f_t,
+        best_f_a=best.f_a,
         measurements_used=ledger.consumed,
         trajectory=tuple(trajectory),
-        best_by_measurement=tuple(accumulate((s.f_t for _, s in ledger.charge_log), min)),
+        best_by_measurement=tuple(accumulate((s.f_t for s in ledger.cache.values()), min)),
     )
 
 
@@ -576,7 +575,7 @@ def evolve(
 
         state.population = select_survivors(union, params.population_size, duplicates_mode)
 
-    return finish_run(spec.label, state.best, ledger, trajectory)
+    return finish_run(spec.label, ledger, trajectory)
 
 
 def _record(

@@ -362,6 +362,23 @@ class TestVariants:
         assert len({tuple(v) for v in first.values()}) == 1
 
 
+def run_with_ledger(spec, space, oracle, params, seed):
+    """One run of ``spec`` and the ledger it charged."""
+    ledgers = []
+
+    class RecordedLedger(BudgetLedger):
+        def __post_init__(self):
+            super().__post_init__()
+            ledgers.append(self)
+
+    with mock.patch.object(tuner, "BudgetLedger", RecordedLedger), mock.patch.object(
+        baselines, "BudgetLedger", RecordedLedger
+    ):
+        run = run_optimizer(spec, space, oracle, params, seed)
+    (ledger,) = ledgers
+    return run, ledger
+
+
 class TestSharedContracts:
     def test_identical_seeds_align_initial_populations(self):
         oracle = synthetic_landscape(n_options=14, domain_sizes=2, k=4, seed=33)
@@ -404,20 +421,36 @@ class TestSharedContracts:
         )
         params = TunerParams(budget=population_size + extra_budget, population_size=population_size)
         for spec in EVERY_LABEL:
-            ledgers = []
-
-            class RecordedLedger(BudgetLedger):
-                def __post_init__(self):
-                    super().__post_init__()
-                    ledgers.append(self)
-
-            with mock.patch.object(tuner, "BudgetLedger", RecordedLedger), mock.patch.object(
-                baselines, "BudgetLedger", RecordedLedger
-            ):
-                run = run_optimizer(spec, space, table, params, seed)
-            (ledger,) = ledgers
-            charged = [config for config, _ in ledger.charge_log]
+            run, ledger = run_with_ledger(spec, space, table, params, seed)
+            charged = list(ledger.cache)
             assert run.measurements_used == len(charged) <= params.budget
             assert len(set(charged)) == len(charged)
             assert all(space.validate(config) for config in charged)
             assert len(run.best_by_measurement) == run.measurements_used
+
+    @pytest.mark.parametrize("budget", [10, 25, 60, 200])
+    def test_ties_go_to_the_first_charged_best(self, budget):
+        # 512 configurations whose targets take only four values, so runs
+        # meet ties for their best
+        space = ConfigSpace(
+            (
+                OptionSpec.categorical("mode", ("fast", "safe", "lean", "slow")),
+                OptionSpec.integer("threads", 0, 7),
+                *(OptionSpec.binary(f"b{i}") for i in range(4)),
+            )
+        )
+        params = TunerParams(budget=budget)
+        for seed in range(2):
+            rng = random.Random(seed)
+            table = MeasurementTable(
+                space,
+                {c: PerfSample(float(rng.randrange(4)), rng.random()) for c in space.enumerate_all()},
+            )
+            for spec in EVERY_LABEL:
+                run, ledger = run_with_ledger(spec, space, table, params, seed)
+                least = min(sample.f_t for sample in ledger.cache.values())
+                first = next(c for c, sample in ledger.cache.items() if sample.f_t == least)
+                assert run.best_config == first
+                assert (run.best_f_t, run.best_f_a) == tuple(ledger.cache[first])
+                assert run.best_f_t == run.best_by_measurement[-1]
+                assert run.trajectory[-1].best_f_t_raw == run.best_f_t

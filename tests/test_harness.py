@@ -116,6 +116,12 @@ class TestCampaign:
         b = run_campaign(cases, optimizers, budgets=[25], repeats=2, base_seed=7)
         assert campaign_summary(a) == campaign_summary(b)
 
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ValueError) as raised:
+            run_campaign(self.make_cases(), [OptimizerSpec("rs")], [20], 2, 3, jobs=jobs)
+        assert str(raised.value) == f"jobs must be at least 1, got {jobs}"
+
     def test_parallel_jobs_match_sequential(self):
         cases = self.make_cases()
         optimizers = [OptimizerSpec("rs"), OptimizerSpec("ga")]

@@ -85,16 +85,17 @@ class TestMeasure:
             measure(oracle, Configuration((0, 7)), BudgetLedger(budget=5))
         assert str(raised.value) == "configuration (0, 7) is invalid for the space"
 
-    def test_charge_log_matches_consumed(self):
+    def test_cache_holds_the_charges_in_order(self):
         space = two_bit_space()
         oracle = table_for(space)
-        ledger = BudgetLedger(budget=10)
-        import random
-
+        ledger = BudgetLedger(budget=3)
         rng = random.Random(5)
-        for _ in range(50):
-            measure(oracle, space.random_config(rng), ledger)
-        assert ledger.consumed == len(ledger.charge_log) == len(ledger.cache)
+        requested = [space.random_config(rng) for _ in range(50)]
+        for cfg in requested:
+            if cfg in ledger.cache or ledger.remaining > 0:
+                measure(oracle, cfg, ledger)
+        assert list(ledger.cache) == list(dict.fromkeys(requested))[:3]
+        assert ledger.consumed == len(ledger.cache)
         assert ledger.consumed <= space.size()
 
 

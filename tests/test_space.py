@@ -91,7 +91,9 @@ ANY_VALUE = st.one_of(
     st.sampled_from([0, 1, 2, -1, True, False, 0.0, 1.0, 2.5, float("nan"), "fast", "safe", "1", None]),
     st.integers(-4, 6),
     st.floats(-4, 6),
-    st.text(max_size=2),
+    # the level characters and one non-ASCII one: the default alphabet's
+    # first draws, with no .hypothesis/ cache yet, fail the too_slow check
+    st.text(alphabet="01 .-afst\u00e9", max_size=2),
 )
 
 
