@@ -1,0 +1,193 @@
+"""Run the tier-1 tests, without the golden digests, against small mutants.
+
+Each mutant below replaces one or two lines of the program. The script
+applies it to a temporary copy of this checkout, runs the tier-1 suite
+there without ``tests/test_golden.py``, and prints the tests that
+failed, or "survived". From the root of a checkout whose tests pass:
+
+    python3 bench/mutants.py             # every mutant
+    python3 bench/mutants.py M9 M10      # the named ones
+    python3 bench/mutants.py --list
+
+A mutant may carry a reason it is expected to survive: it is equivalent
+(it changes no behaviour), or it changes only what the golden digests
+pin. The exit code is 1 when a mutant without such a reason survives,
+2 when a mutant's lines are no longer in the program, else 0. Standard
+library only, and not a CI step: a surviving mutant costs a whole
+tier-1 run.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT_S = 900  # a mutant that hangs the suite counts as killed
+SHOWN = 3  # failed tests named per mutant
+COPY_IGNORE = shutil.ignore_patterns(
+    ".git", "__pycache__", ".hypothesis", ".pytest_cache", ".perfbench_tmp", "*.egg-info", "build"
+)
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str
+    old: str
+    new: str
+    breaks: str
+    survives: str | None = None  # why the non-golden tests cannot kill it
+
+
+TUNER = "src/admmo/tuner.py"
+MUTANTS = (
+    Mutant(
+        "M3", TUNER,
+        "        fronts[i + 1] += demoted\n",
+        "        fronts[i + 1][:0] = demoted\n",
+        "demoted copies go before the next front's members, not after them",
+        survives="the paper does not fix this order; only the golden digests pin it",
+    ),
+    Mutant(
+        "M5", TUNER,
+        "        if ind.raw.f_t < state.best.raw.f_t and (",
+        "        if ind.raw.f_t <= state.best.raw.f_t and (",
+        "a tie on the best f_t resets the stagnation count",
+    ),
+    Mutant(
+        "M6", "src/admmo/nsga2.py",
+        "    if len(front) <= 2:\n",
+        "    if len(front) < 2:\n",
+        "a two-member front goes through the crowding loop",
+        survives="equivalent: both members are boundary points and get +inf anyway",
+    ),
+    Mutant(
+        "M7", "src/admmo/nsga2.py",
+        "        return a if a.crowding > b.crowding else b\n",
+        "        return a if a.crowding < b.crowding else b\n",
+        "the tournament prefers the less crowded",
+    ),
+    Mutant(
+        "M9", TUNER,
+        "    return fill_by_fronts(fronts, capacity), proportion\n",
+        "    survivors = fill_by_fronts(fronts, capacity)\n"
+        "    return survivors, Proportion.of_front([s for s in survivors if s.rank == 0], survivors)\n",
+        "p' is counted on the survivors, the next parents, not on the union",
+    ),
+    Mutant(
+        "M10", TUNER,
+        "    while ledger.consumed < limit and stalled < STALL_ITERATION_CAP:\n",
+        "    while ledger.consumed < limit and stalled < STALL_ITERATION_CAP // 2:\n",
+        "the stall cap is halved",
+    ),
+    Mutant(
+        "count-after-demotion", TUNER,
+        "    proportion = Proportion.of_front(fronts[0], union)\n"
+        "    if duplicates_mode == DUPLICATES_PARTIAL:\n"
+        "        demote_duplicates(fronts)\n",
+        "    if duplicates_mode == DUPLICATES_PARTIAL:\n"
+        "        demote_duplicates(fronts)\n"
+        "    proportion = Proportion.of_front(fronts[0], union)\n",
+        "n_d is read off front 0 after demotion",
+        survives="equivalent: demotion moves only surplus copies of configurations that stay"
+        " in front 0, so its distinct configurations are the same",
+    ),
+    Mutant(
+        "unique-over-survivors", TUNER,
+        "    return fill_by_fronts(fronts, capacity), proportion\n",
+        "    survivors = fill_by_fronts(fronts, capacity)\n"
+        "    return survivors, Proportion(proportion.nondominated, len(set(s.config for s in survivors)))\n",
+        "n_u counts the survivors' configurations, not the union's",
+    ),
+    Mutant(
+        "front-zero-copies", TUNER,
+        "        return cls(len({ind.config for ind in front}), len({ind.config for ind in union}))\n",
+        "        return cls(len(front), len({ind.config for ind in union}))\n",
+        "n_d counts every copy in front 0, not the distinct configurations",
+    ),
+    Mutant(
+        "budget-overrun", TUNER,
+        "            elif ledger.remaining > 0:\n",
+        "            elif ledger.remaining >= 0:\n",
+        "a child is measured when the budget is spent",
+    ),
+)
+
+
+def failures(output: str) -> str:
+    """The first failed tests of a pytest ``-rfE`` summary, and how many failed."""
+    failed = [
+        line.split(" ", 1)[1].split(" - ", 1)[0]
+        for line in output.splitlines()
+        if line.startswith(("FAILED ", "ERROR "))
+    ]
+    if not failed:
+        return "the suite failed without naming a test"
+    more = f" and {len(failed) - SHOWN} more" if len(failed) > SHOWN else ""
+    return ", ".join(failed[:SHOWN]) + more
+
+
+def run_mutant(mutant: Mutant) -> tuple[bool, str]:
+    """(killed, the killing tests or "survived") for one mutant."""
+    with tempfile.TemporaryDirectory(prefix=f"mutant-{mutant.name}-") as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=COPY_IGNORE)
+        target = copy / mutant.path
+        text = target.read_text()
+        if text.count(mutant.old) != 1:
+            raise LookupError(f"its lines are not in {mutant.path} exactly once")
+        target.write_text(text.replace(mutant.old, mutant.new))
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"))
+        command = [
+            sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
+            "--ignore=tests/test_golden.py",
+        ]
+        try:
+            done = subprocess.run(
+                command, cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT_S
+            )
+        except subprocess.TimeoutExpired:
+            return True, f"timed out after {TIMEOUT_S} s"
+        if done.returncode == 0:
+            return False, "survived"
+        return True, failures(done.stdout)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    parser.add_argument("--list", action="store_true", help="list the mutants and exit")
+    args = parser.parse_args(argv)
+    known = {m.name: m for m in MUTANTS}
+    unknown = [name for name in args.names if name not in known]
+    if unknown:
+        parser.error(f"unknown mutants: {', '.join(unknown)}")
+    chosen = [known[name] for name in args.names] or list(MUTANTS)
+    if args.list:
+        for m in chosen:
+            print(f"{m.name}: {m.path}: {m.breaks}" + (f" [{m.survives}]" if m.survives else ""))
+        return 0
+    status = 0
+    for m in chosen:
+        try:
+            killed, outcome = run_mutant(m)
+        except LookupError as error:
+            print(f"{m.name}: error: {error}", flush=True)
+            status = 2
+            continue
+        note = f" (expected: {m.survives})" if m.survives and not killed else ""
+        print(f"{m.name}: {'killed by ' if killed else ''}{outcome}{note}", flush=True)
+        if not killed and not m.survives and status == 0:
+            status = 1
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -69,8 +69,6 @@ _EXPORTS = {
         "TunerState",
         "TuningRun",
         "adapt_weight",
-        "current_proportion",
-        "partial_duplicate_survival",
         "run_admmo",
         "select_survivors",
         "should_trigger",

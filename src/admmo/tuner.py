@@ -34,7 +34,6 @@ from .nsga2 import (
     crowding_distance,
     fill_by_fronts,
     nondominated_sort,
-    nsga2_survival,
     uniform_crossover,
 )
 from .oracles import BudgetLedger, MeasurementOracle, measure
@@ -155,6 +154,12 @@ class Proportion:
     def value(self) -> float:
         return self.nondominated / self.unique
 
+    @classmethod
+    def of_front(cls, front: list[Individual], union: list[Individual]) -> Proportion:
+        """Read off a sort's front 0 before any demotion, which holds every
+        copy of each nondominated configuration of ``union``."""
+        return cls(len({ind.config for ind in front}), len({ind.config for ind in union}))
+
 
 @dataclass(frozen=True)
 class IterationRecord:
@@ -227,8 +232,8 @@ def split_duplicates(group: list[Individual]) -> tuple[list[Individual], list[In
     return unique, surplus
 
 
-def current_proportion(union: list[Individual]) -> Proportion:
-    """p' of the union under whatever meta-objectives are currently set.
+def unique_nondominated_proportion(union: list[Individual], w: float) -> Proportion:
+    """Recompute meta-objectives at ``w`` and count p' = n_d / n_u.
 
     Counts the distinct configurations that no other one dominates, which
     is front 0 of a nondominated sort without the sort; ranks are left
@@ -238,6 +243,7 @@ def current_proportion(union: list[Individual]) -> Proportion:
     g2 is below every earlier g2, or equals the least of them with the
     same g1 as the first point that reached it.
     """
+    compute_meta_union(union, w)
     seen: dict[Configuration, tuple[float, float]] = {}
     for ind in union:
         seen.setdefault(ind.config, (ind.g1, ind.g2))
@@ -250,16 +256,6 @@ def current_proportion(union: list[Individual]) -> Proportion:
         elif g2 == best2 and g1 == best1:
             nondominated += 1
     return Proportion(nondominated=nondominated, unique=len(seen))
-
-
-def unique_nondominated_proportion(union: list[Individual], w: float) -> Proportion:
-    """Recompute meta-objectives at ``w`` and measure p' = n_d / n_u.
-
-    Duplicates carry identical objective values (they share one cached
-    sample), so any representative is equivalent.
-    """
-    compute_meta_union(union, w)
-    return current_proportion(union)
 
 
 def extend_walk(points: list[float], up: bool, length: int) -> None:
@@ -358,46 +354,45 @@ def adapt_weight(union: list[Individual], w: float, target: float) -> float:
     return points[i]
 
 
-def partial_duplicate_survival(union: list[Individual], capacity: int) -> list[Individual]:
-    """Survival selection with partial duplicate retention.
+def demote_duplicates(fronts: list[list[Individual]]) -> None:
+    """Partial duplicate retention on sorted fronts, in place.
 
-    Fronts are walked in order; wherever a successor front exists, the
-    surplus members of each duplicate group are demoted into it (and may
-    cascade further when that front is reached). The demoted fronts are
-    then filled as in plain NSGA-II: whole fronts while they fit, the
-    first front that does not fit truncated by crowding distance.
-    Demotion in fronts the fill never reaches changes nothing.
-    Duplicates therefore spread across consecutive fronts, with the
-    best-placed copy ranked highest, and the resulting front-0 contains
-    exactly the unique nondominated configurations.
+    Walking the fronts in order, the surplus copies of each configuration
+    in a front are demoted into the next one (and may cascade further),
+    taking its rank, so front 0 holds exactly the unique nondominated
+    configurations and the best-placed copy is ranked highest. The last
+    front has no successor and keeps its copies. The paper does not fix
+    where demoted copies go within the next front: they are appended
+    after its members, an order that only the golden digests pin.
     """
-    if len(union) < capacity:
-        raise ValueError(f"union of {len(union)} cannot fill a population of {capacity}")
-    fronts = nondominated_sort(union)
-    for i in range(len(fronts)):
-        if i + 1 < len(fronts):
-            fronts[i], demoted = split_duplicates(fronts[i])
-            fronts[i + 1] = fronts[i + 1] + demoted
-        for ind in fronts[i]:
-            ind.rank = i
-    return fill_by_fronts(fronts, capacity)
+    for i in range(len(fronts) - 1):
+        fronts[i], demoted = split_duplicates(fronts[i])
+        for ind in demoted:
+            ind.rank = i + 1
+        fronts[i + 1] += demoted
 
 
 def select_survivors(
     union: list[Individual], capacity: int, duplicates_mode: str
-) -> list[Individual]:
-    """Survival selection under one of the three duplicate policies:
-    partial retention (default), indistinct (plain NSGA-II on the full
-    union), or remove_all (one representative per configuration, then
-    plain NSGA-II, shrinking the population if too few uniques remain)."""
-    if duplicates_mode == DUPLICATES_PARTIAL:
-        return partial_duplicate_survival(union, capacity)
+) -> tuple[list[Individual], Proportion]:
+    """Survival selection under one of the three duplicate policies, with
+    the union's p' read off the one nondominated sort it makes: partial
+    retention (default), indistinct (plain NSGA-II on the full union), or
+    remove_all (one representative per configuration, shrinking the
+    population if too few uniques remain). Fronts are filled as in NSGA-II.
+    """
     if duplicates_mode == DUPLICATES_REMOVE_ALL:
-        unique, _ = split_duplicates(union)
-        return nsga2_survival(unique, min(capacity, len(unique)))
-    if duplicates_mode == DUPLICATES_INDISTINCT:
-        return nsga2_survival(union, capacity)
-    raise ValueError(f"unknown duplicates mode {duplicates_mode!r}")
+        union, _ = split_duplicates(union)
+        capacity = min(capacity, len(union))
+    elif duplicates_mode not in DUPLICATES_MODES:
+        raise ValueError(f"unknown duplicates mode {duplicates_mode!r}")
+    elif len(union) < capacity:
+        raise ValueError(f"union of {len(union)} cannot fill a population of {capacity}")
+    fronts = nondominated_sort(union)
+    proportion = Proportion.of_front(fronts[0], union)
+    if duplicates_mode == DUPLICATES_PARTIAL:
+        demote_duplicates(fronts)
+    return fill_by_fronts(fronts, capacity), proportion
 
 
 def update_stagnation(state: TunerState, offspring: list[Individual]) -> TunerState:
@@ -549,10 +544,12 @@ def evolve(
         state.w = spec.fixed_w
     normalize_union(state.population)
     _set_objectives(state.population, weighted, state.w)
-    trajectory = [_record(0, ledger, state, state.population, weighted)]
     # ranks/crowding for the first mating round
-    for front in nondominated_sort(state.population):
+    fronts = nondominated_sort(state.population)
+    for front in fronts:
         crowding_distance(front)
+    proportion = Proportion.of_front(fronts[0], state.population)
+    trajectory = [_record(0, ledger, state, proportion, weighted)]
     for iteration in generations(space, ledger, params):
         offspring = breed(state.population, binary_tournament, space, oracle, ledger, params, rng)
         update_stagnation(state, offspring)
@@ -570,10 +567,10 @@ def evolve(
         if union_observer is not None:
             union_observer(iteration, union)
 
-        # record before survival: survival owns the ranks used for mating
-        trajectory.append(_record(iteration, ledger, state, union, weighted))
-
-        state.population = select_survivors(union, params.population_size, duplicates_mode)
+        state.population, proportion = select_survivors(
+            union, params.population_size, duplicates_mode
+        )
+        trajectory.append(_record(iteration, ledger, state, proportion, weighted))
 
     return finish_run(spec.label, ledger, trajectory)
 
@@ -582,14 +579,14 @@ def _record(
     iteration: int,
     ledger: BudgetLedger,
     state: TunerState,
-    union: list[Individual],
+    proportion: Proportion,
     weighted: bool,
 ) -> IterationRecord:
     return IterationRecord(
         iteration=iteration,
         b=ledger.consumed,
         w=state.w if weighted else None,
-        p_prime=current_proportion(union).value,
+        p_prime=proportion.value,
         o=state.stagnation,
         best_f_t_raw=state.best.raw.f_t,
     )

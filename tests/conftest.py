@@ -95,11 +95,12 @@ WEIGHTS = st.sampled_from([k / 10 for k in range(11)]) | st.floats(0, 1000)
 
 
 @st.composite
-def meta_unions(draw) -> list[Individual]:
+def meta_unions(draw, shared: bool | None = None) -> list[Individual]:
     """1 to 20 individuals with meta-objectives set, each a copy of one of
     up to 8 configurations. Points are drawn directly or computed from
-    normalized objectives at a weight. Copies of a configuration usually
-    share its point, as measured duplicates do, and sometimes do not."""
+    normalized objectives at a weight. Copies of a configuration share its
+    point, as measured duplicates do, when ``shared`` is true, do not when
+    it is false, and either way when it is None."""
     if draw(st.booleans()):
         points = draw(st.lists(st.tuples(META_VALUES, META_VALUES), min_size=1, max_size=8))
     else:
@@ -112,7 +113,8 @@ def meta_unions(draw) -> list[Individual]:
             for ind in (make_individual(0, f_t_norm=t, f_a_norm=a, w=w) for t, a in normalized)
         ]
     picks = draw(st.lists(st.integers(0, 7), min_size=1, max_size=20))
-    shared = draw(st.booleans())
+    if shared is None:
+        shared = draw(st.booleans())
     return [
         make_meta_individual(pick % len(points), *points[(pick if shared else i) % len(points)])
         for i, pick in enumerate(picks)

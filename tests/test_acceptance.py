@@ -88,7 +88,7 @@ def test_criterion_03_duplicate_retention_worked_example(worked_survival_union):
         ("indistinct", {"x1", "x2", "x3", "x4"}),
     ):
         compute_meta_union(union, 1.0)
-        got = names_of(union, select_survivors(list(union), 4, mode))
+        got = names_of(union, select_survivors(list(union), 4, mode)[0])
         assert got == expected, f"{mode}: {sorted(got)} != {sorted(expected)}"
         outcomes[mode] = sorted(got)
     report(f"[PASS] criterion 3: survival outcomes {outcomes}")

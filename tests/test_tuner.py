@@ -14,15 +14,17 @@ from admmo import (
     BenchCase,
     Individual,
     OptimizerSpec,
+    PerfSample,
     TunerParams,
     TunerState,
     adapt_weight,
     compute_meta_union,
     dominates,
     nondominated_sort,
+    normalize_union,
     nsga2_survival,
-    partial_duplicate_survival,
     run_admmo,
+    run_optimizer,
     select_survivors,
     should_trigger,
     synthetic_landscape,
@@ -116,7 +118,7 @@ class TestProportion:
             union.append(make_individual(gene, f_t_norm=f_t, f_a_norm=f_a, w=w))
         for i, ind in enumerate(union):
             ind.rank = -i
-        prop = tuner.current_proportion(union)
+        prop = unique_nondominated_proportion(union, w)
         assert [ind.rank for ind in union] == [-i for i in range(len(union))]
         unique, _ = tuner.split_duplicates(union)
         assert prop.unique == len(unique)
@@ -124,8 +126,9 @@ class TestProportion:
 
 
 def reference_proportion(union):
-    """p' as it was counted before the sweep: split off the duplicates,
-    then ask ``dominates`` of every ordered pair of the unique ones."""
+    """p' by pairs, the reference for the sweep and for survival's count:
+    split off the duplicates, then ask ``dominates`` of every ordered pair
+    of the unique ones."""
     unique, _ = tuner.split_duplicates(union)
     nondominated = sum(
         1 for ind in unique if not any(dominates(other, ind) for other in unique)
@@ -134,19 +137,15 @@ def reference_proportion(union):
 
 
 class TestProportionSweep:
-    @settings(max_examples=300)
-    @given(union=meta_unions())
-    def test_counts_as_every_pair(self, union):
-        assert tuner.current_proportion(union) == reference_proportion(union)
-
     @pytest.mark.parametrize("w", [k / 10 for k in range(11)])
     def test_near_tie_pair_counts_as_every_pair(self, w):
         union = [
             make_individual(0, f_t_norm=0.5, f_a_norm=0.0, w=w),
             make_individual(1, f_t_norm=0.5, f_a_norm=1e-16, w=w),
         ]
-        assert tuner.current_proportion(union) == reference_proportion(union)
-        assert tuner.current_proportion(union[::-1]) == reference_proportion(union[::-1])
+        assert unique_nondominated_proportion(union, w) == reference_proportion(union)
+        reverse = union[::-1]
+        assert unique_nondominated_proportion(reverse, w) == reference_proportion(reverse)
 
     def test_copies_count_at_their_first_point(self):
         # a later copy of a configuration is not a point of its own
@@ -155,7 +154,8 @@ class TestProportionSweep:
             make_individual(1, f_t_norm=0.25, f_a_norm=0.5, w=1.0),
             make_individual(0, f_t_norm=0.0, f_a_norm=0.0, w=1.0),
         ]
-        assert tuner.current_proportion(union) == tuner.Proportion(nondominated=1, unique=2)
+        prop = unique_nondominated_proportion(union, 1.0)
+        assert prop == tuner.Proportion(nondominated=1, unique=2)
 
 
 def two_point_union():
@@ -570,16 +570,16 @@ class TestNearTies:
 class TestPartialDuplicateSurvival:
     def test_worked_example(self, worked_survival_union):
         union = worked_survival_union
-        survivors = partial_duplicate_survival(list(union), 4)
+        survivors = select_survivors(list(union), 4, "partial")[0]
         assert names_of(union, survivors) == {"x1", "x2", "x3", "x6"}
 
     def test_variant_modes_on_worked_example(self, worked_survival_union):
         union = worked_survival_union
         compute_meta_union(union, 1.0)
-        removed = select_survivors(list(union), 4, "remove_all")
+        removed, _ = select_survivors(list(union), 4, "remove_all")
         assert names_of(union, removed) == {"x1", "x2", "x5", "x6"}
         compute_meta_union(union, 1.0)
-        indistinct = select_survivors(list(union), 4, "indistinct")
+        indistinct, _ = select_survivors(list(union), 4, "indistinct")
         assert names_of(union, indistinct) == {"x1", "x2", "x3", "x4"}
 
     def test_no_duplicates_equals_plain_survival(self):
@@ -588,14 +588,14 @@ class TestPartialDuplicateSurvival:
             make_individual(i, f_t_norm=rng.random(), f_a_norm=rng.random(), w=1.0)
             for i in range(20)
         ]
-        partial = set(map(id, partial_duplicate_survival(list(union), 8)))
+        partial = set(map(id, select_survivors(list(union), 8, "partial")[0]))
         compute_meta_union(union, 1.0)
         plain = set(map(id, nsga2_survival(list(union), 8)))
         assert partial == plain
 
     def test_single_front_of_duplicates_has_no_successor_to_demote_into(self):
         union = [make_individual(0, f_t_norm=0.5, f_a_norm=0.5, w=1.0) for _ in range(6)]
-        survivors = partial_duplicate_survival(list(union), 3)
+        survivors = select_survivors(list(union), 3, "partial")[0]
         assert len(survivors) == 3
 
     def test_front_zero_matches_unique_nondominated_count(self):
@@ -615,7 +615,7 @@ class TestPartialDuplicateSurvival:
             capacity = max(2, len(union) // 3)
             expected = unique_nondominated_proportion(union, 1.0).nondominated
             compute_meta_union(union, 1.0)
-            survivors = partial_duplicate_survival(list(union), capacity)
+            survivors = select_survivors(list(union), capacity, "partial")[0]
             implied = [ind for ind in survivors if ind.rank == 0]
             # front 0 after demotion holds exactly the unique nondominated
             # configurations, capped by what survived
@@ -629,7 +629,7 @@ class TestPartialDuplicateSurvival:
                 make_individual(i, f_t_norm=rng.random(), f_a_norm=rng.random(), w=1.0)
                 for i in range(15)
             ]
-            survivors = partial_duplicate_survival(list(union), rng.randint(2, 10))
+            survivors = select_survivors(list(union), rng.randint(2, 10), "partial")[0]
             min_g1 = min(ind.g1 for ind in union)
             min_g2 = min(ind.g2 for ind in union)
             assert any(ind.g1 == min_g1 for ind in survivors)
@@ -637,8 +637,38 @@ class TestPartialDuplicateSurvival:
 
     def test_undersized_union_rejected(self):
         union = [make_individual(0, f_t_norm=0.1, f_a_norm=0.1, w=1.0)]
-        with pytest.raises(ValueError):
-            partial_duplicate_survival(union, 2)
+        for mode in ("partial", "indistinct"):
+            with pytest.raises(ValueError, match="cannot fill"):
+                select_survivors(union, 2, mode)
+        assert len(select_survivors(union, 2, "remove_all")[0]) == 1
+
+
+class TestSurvivalProperties:
+    @pytest.mark.parametrize("mode", tuner.DUPLICATES_MODES)
+    @settings(max_examples=200)
+    @given(union=meta_unions(shared=True), data=st.data())
+    def test_on_copies_that_share_their_point(self, mode, union, data):
+        # copies share one sample in a run, so they share their point here
+        capacity = data.draw(st.integers(1, len(union)))
+        survivors, proportion = select_survivors(list(union), capacity, mode)
+        assert proportion == reference_proportion(union)
+        unique = len({ind.config for ind in union})
+        if mode == tuner.DUPLICATES_REMOVE_ALL:
+            assert len(survivors) == min(capacity, unique)
+            assert len({ind.config for ind in survivors}) == len(survivors)
+        else:
+            assert len(survivors) == capacity
+        if mode != tuner.DUPLICATES_PARTIAL:
+            return
+        front_zero = [ind for ind in survivors if ind.rank == 0]
+        assert not any(dominates(other, ind) for ind in front_zero for other in union)
+        # every copy of the union is in a front; only the last has no successor to demote into
+        last = max(ind.rank for ind in union)
+        for rank in range(last):
+            configs = [ind.config for ind in union if ind.rank == rank]
+            assert len(set(configs)) == len(configs)
+        if last > 0:
+            assert len(front_zero) == min(proportion.nondominated, capacity)
 
 
 class TestUpdateStagnation:
@@ -734,3 +764,118 @@ class TestRunAdmmo:
         assert all(x >= y for x, y in zip(bests, bests[1:]))
         assert all(0 < rec.p_prime <= 1 for rec in run.trajectory)
         assert all(rec.o >= 0 for rec in run.trajectory)
+
+
+EVOLVE_SPECS = (
+    OptimizerSpec("admmo"),
+    OptimizerSpec("admmo", duplicates_mode="indistinct"),
+    OptimizerSpec("admmo", duplicates_mode="remove_all"),
+    OptimizerSpec("admmo", trigger_mode="constant"),
+    OptimizerSpec("mmo_fixed"),
+    OptimizerSpec("pmo"),
+)
+
+
+def nk_case():
+    oracle = synthetic_landscape(12, 2, 4, seed=101)
+    return oracle.space, oracle, TunerParams(budget=60, target_proportion=0.3)
+
+
+def demo_table_case():
+    spec = load_runspec(DEMO_SPEC)
+    case = spec.cases[0]
+    return case.space, case.oracle, TunerParams(min(spec.budgets), spec.population_size, spec.p)
+
+
+def meta_snapshot(union):
+    return [(ind.config, ind.g1, ind.g2) for ind in union]
+
+
+def snapshot_union(snapshot):
+    union = []
+    for config, g1, g2 in snapshot:
+        ind = Individual(config, PerfSample(0.0, 0.0))
+        ind.g1, ind.g2 = g1, g2
+        union.append(ind)
+    return union
+
+
+@pytest.mark.parametrize("case", [nk_case, demo_table_case], ids=["nk", "demo-table"])
+@pytest.mark.parametrize("spec", EVOLVE_SPECS, ids=lambda spec: spec.label)
+def test_trajectory_p_prime_is_the_pairwise_reference_of_each_union(case, spec):
+    # row 0 counts the initial population, every later row the union survival sorts
+    space, oracle, params = case()
+    for seed in (1, 2, 3):
+        unions = {}
+
+        def observe(iteration, union):
+            unions[iteration] = meta_snapshot(union)
+
+        run = tuner.evolve(space, oracle, params, seed, spec, union_observer=observe)
+        _, state = tuner.seed_population(space, oracle, params, random.Random(seed))
+        normalize_union(state.population)
+        w = run.trajectory[0].w
+        if w is None:
+            for ind in state.population:
+                ind.g1, ind.g2 = ind.f_t_norm, ind.f_a_norm
+        else:
+            compute_meta_union(state.population, w)
+        unions[0] = meta_snapshot(state.population)
+        assert sorted(unions) == [row.iteration for row in run.trajectory]
+        for row in run.trajectory:
+            expected = reference_proportion(snapshot_union(unions[row.iteration]))
+            assert row.p_prime == expected.value, row
+
+
+@pytest.mark.parametrize("seed", [2, 4])
+@pytest.mark.parametrize("spec", EVOLVE_SPECS + (OptimizerSpec("ga"),), ids=lambda spec: spec.label)
+def test_run_stops_a_stall_cap_after_its_last_charge(spec, seed):
+    # Boundary mutation moves the integer option only to 0 or 2 and crossover
+    # only swaps genes, so with no 1 among the initial draws no 1 is charged.
+    oracle = synthetic_landscape(2, [3, 2], k=1, seed=3)
+    params = TunerParams(budget=6, population_size=2)
+    _, state = tuner.seed_population(oracle.space, oracle, params, random.Random(seed))
+    assert all(ind.config[0] != 1 for ind in state.population)
+    run = run_optimizer(spec, oracle.space, oracle, params, seed)
+    assert run.measurements_used < min(params.budget, oracle.space.size())
+    last_charge = next(row for row in run.trajectory if row.b == run.measurements_used)
+    assert run.trajectory[-1].iteration - last_charge.iteration == tuner.STALL_ITERATION_CAP
+
+
+def test_each_generation_sorts_once_and_counts_p_prime_only_in_the_walk(monkeypatch):
+    sorts, walks, walk_counts, stray_counts = [], [], [], []
+    walking = [False]
+    sort, adapt, count = (
+        tuner.nondominated_sort,
+        tuner.adapt_weight,
+        tuner.unique_nondominated_proportion,
+    )
+
+    def counted_sort(pop):
+        sorts.append(len(pop))
+        return sort(pop)
+
+    def counted_adapt(union, w, target):
+        walks.append(w)
+        walking[0] = True
+        try:
+            return adapt(union, w, target)
+        finally:
+            walking[0] = False
+
+    def counted_count(union, w):
+        (walk_counts if walking[0] else stray_counts).append(w)
+        return count(union, w)
+
+    monkeypatch.setattr(tuner, "nondominated_sort", counted_sort)
+    monkeypatch.setattr(tuner, "adapt_weight", counted_adapt)
+    monkeypatch.setattr(tuner, "unique_nondominated_proportion", counted_count)
+    space, oracle, params = nk_case()
+    for spec in EVOLVE_SPECS:
+        sorts.clear()
+        run = tuner.evolve(space, oracle, params, 1, spec)
+        # once for row 0's initial population, once per generation's survival
+        assert len(sorts) == len(run.trajectory)
+    # the walk's closing count is the only one a run makes
+    assert stray_counts == []
+    assert len(walk_counts) == len(walks) > 0
