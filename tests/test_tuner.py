@@ -4,6 +4,7 @@ import math
 import random
 from bisect import bisect_left
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -395,6 +396,31 @@ class TestWeightThresholds:
             assert bisect_left(thresholds, w) == exact_nondominated(unique, w)
 
 
+class CountingOracle:
+    """An oracle that counts its samples: each one is a charge."""
+
+    def __init__(self, oracle):
+        self.space, self.oracle, self.calls = oracle.space, oracle, 0
+
+    def sample(self, config):
+        self.calls += 1
+        return self.oracle.sample(config)
+
+
+def observed_run(space, oracle, params, seed, spec):
+    """A seeded ``evolve`` run, with the union ``union_observer`` saw at each
+    iteration and the oracle's sample count at that moment."""
+    counting = CountingOracle(oracle)
+    unions, calls = {}, {}
+
+    def observe(iteration, union):
+        unions[iteration] = [(i.config, i.raw, i.f_t_norm, i.f_a_norm) for i in union]
+        calls[iteration] = counting.calls
+
+    run = tuner.evolve(space, counting, params, seed, spec, union_observer=observe)
+    return run, unions, calls
+
+
 def recorded_walks(case, params, specs, seeds):
     """(union, start weight) of every iteration of seeded ``evolve`` runs:
     the union as ``union_observer`` sees it and the weight the iteration
@@ -402,12 +428,7 @@ def recorded_walks(case, params, specs, seeds):
     walks = []
     for spec in specs:
         for seed in seeds:
-            unions = {}
-
-            def observe(iteration, union):
-                unions[iteration] = [(i.config, i.raw, i.f_t_norm, i.f_a_norm) for i in union]
-
-            run = tuner.evolve(case.space, case.oracle, params, seed, spec, union_observer=observe)
+            run, unions, _ = observed_run(case.space, case.oracle, params, seed, spec)
             walks += [(unions[i], run.trajectory[i - 1].w) for i in range(1, len(run.trajectory))]
     return walks
 
@@ -776,9 +797,9 @@ EVOLVE_SPECS = (
 )
 
 
-def nk_case():
+def nk_case(budget=60):
     oracle = synthetic_landscape(12, 2, 4, seed=101)
-    return oracle.space, oracle, TunerParams(budget=60, target_proportion=0.3)
+    return oracle.space, oracle, TunerParams(budget=budget, target_proportion=0.3)
 
 
 def demo_table_case():
@@ -825,6 +846,54 @@ def test_trajectory_p_prime_is_the_pairwise_reference_of_each_union(case, spec):
         for row in run.trajectory:
             expected = reference_proportion(snapshot_union(unions[row.iteration]))
             assert row.p_prime == expected.value, row
+
+
+def assert_stagnation_rule(rows):
+    # o resets on a strict improvement of the best target, else counts up
+    assert rows[0].o == 0
+    for before, row in zip(rows, rows[1:]):
+        assert row.o == (0 if row.best_f_t_raw < before.best_f_t_raw else before.o + 1), row
+
+
+REPLAY_CASES = [partial(nk_case, budget=200), demo_table_case]
+
+
+@pytest.mark.parametrize("case", REPLAY_CASES, ids=["nk", "demo-table"])
+@pytest.mark.parametrize("spec", EVOLVE_SPECS, ids=lambda spec: spec.label)
+def test_trajectory_replays_from_the_observed_unions(case, spec):
+    # every row's b, best, o and w, rebuilt from the oracle's sample count,
+    # the charges, the trigger stream and the unions the observer saw
+    space, oracle, params = case()
+    for seed in (1, 2, 3):
+        run, unions, calls = observed_run(space, oracle, params, seed, spec)
+        rows = run.trajectory
+        assert_stagnation_rule(rows)
+        assert all(row.best_f_t_raw == min(run.best_by_measurement[: row.b]) for row in rows)
+        assert rows[-1].b == run.measurements_used
+        trigger_rng = random.Random(f"trigger:{seed}")
+        w = {"admmo": tuner.INITIAL_WEIGHT, "mmo_fixed": spec.fixed_w, "pmo": None}[spec.kind]
+        assert rows[0].w == w
+        for row in rows[1:]:
+            assert row.b == calls[row.iteration], row
+            if spec.kind == "admmo" and (
+                spec.trigger_mode == tuner.TRIGGER_CONSTANT
+                or should_trigger(row.o, row.b, params.budget, trigger_rng)
+            ):
+                w = adapt_weight(rebuilt(unions[row.iteration]), w, params.target_proportion)
+            assert row.w == w, row
+
+
+@pytest.mark.parametrize("case", REPLAY_CASES, ids=["nk", "demo-table"])
+def test_ga_trajectory_replays_from_its_charges(case):
+    space, oracle, params = case()
+    for seed in (1, 2, 3):
+        run = run_optimizer(OptimizerSpec("ga"), space, oracle, params, seed)
+        rows = run.trajectory
+        assert all(row.w is None and row.p_prime is None for row in rows)
+        assert_stagnation_rule(rows)
+        bs = [row.b for row in rows]
+        assert bs == sorted(bs) and bs[-1] == run.measurements_used
+        assert all(row.best_f_t_raw == run.best_by_measurement[row.b - 1] for row in rows)
 
 
 @pytest.mark.parametrize("seed", [2, 4])
