@@ -12,9 +12,10 @@ failed, or "survived". From the root of a checkout whose tests pass:
 A mutant may carry a reason it is expected to survive: it is equivalent
 (it changes no behaviour), or it changes only what the golden digests
 pin. The exit code is 1 when a mutant without such a reason survives,
-2 when a mutant's lines are no longer in the program, else 0. Standard
-library only, and not a CI step: a surviving mutant costs a whole
-tier-1 run.
+2 when a mutant's lines are not in the program exactly once, else 0.
+``--list`` makes that last check too, and runs nothing. Standard
+library only; CI runs only ``--list``, because a surviving mutant costs
+a whole tier-1 run.
 """
 
 from __future__ import annotations
@@ -57,8 +58,8 @@ MUTANTS = (
     ),
     Mutant(
         "M5", TUNER,
-        "        if ind.raw.f_t < state.best.raw.f_t and (",
-        "        if ind.raw.f_t <= state.best.raw.f_t and (",
+        "    if best < state.best_f_t:\n",
+        "    if best <= state.best_f_t:\n",
         "a tie on the best f_t resets the stagnation count",
     ),
     Mutant(
@@ -113,6 +114,19 @@ MUTANTS = (
         "n_d counts every copy in front 0, not the distinct configurations",
     ),
     Mutant(
+        "pmo-weight", TUNER,
+        "    if spec.kind != \"pmo\":\n",
+        "    if True:\n",
+        "pmo runs and records the weight 1.0 instead of none",
+    ),
+    Mutant(
+        "best-not-stored", TUNER,
+        "        state.best_f_t = best\n"
+        "        state.stagnation = 0\n",
+        "        state.stagnation = 0\n",
+        "an improvement resets the stagnation count without storing the new best f_t",
+    ),
+    Mutant(
         "budget-overrun", TUNER,
         "            elif ledger.remaining > 0:\n",
         "            elif ledger.remaining >= 0:\n",
@@ -134,16 +148,22 @@ def failures(output: str) -> str:
     return ", ".join(failed[:SHOWN]) + more
 
 
-def run_mutant(mutant: Mutant) -> tuple[bool, str]:
-    """(killed, the killing tests or "survived") for one mutant."""
+def mutated(mutant: Mutant) -> str:
+    """The mutant's file with its lines replaced; LookupError unless the
+    lines occur in it exactly once."""
+    text = (ROOT / mutant.path).read_text()
+    if text.count(mutant.old) != 1:
+        raise LookupError(f"its lines are not in {mutant.path} exactly once")
+    return text.replace(mutant.old, mutant.new)
+
+
+def run_mutant(mutant: Mutant, text: str) -> tuple[bool, str]:
+    """(killed, the killing tests or "survived") for one mutant whose file
+    reads ``text``."""
     with tempfile.TemporaryDirectory(prefix=f"mutant-{mutant.name}-") as tmp:
         copy = Path(tmp) / "repo"
         shutil.copytree(ROOT, copy, ignore=COPY_IGNORE)
-        target = copy / mutant.path
-        text = target.read_text()
-        if text.count(mutant.old) != 1:
-            raise LookupError(f"its lines are not in {mutant.path} exactly once")
-        target.write_text(text.replace(mutant.old, mutant.new))
+        (copy / mutant.path).write_text(text)
         env = dict(os.environ, PYTHONPATH=str(copy / "src"))
         command = [
             sys.executable, "-m", "pytest", "-q", "-rfE", "-p", "no:cacheprovider",
@@ -170,18 +190,18 @@ def main(argv: list[str] | None = None) -> int:
     if unknown:
         parser.error(f"unknown mutants: {', '.join(unknown)}")
     chosen = [known[name] for name in args.names] or list(MUTANTS)
-    if args.list:
-        for m in chosen:
-            print(f"{m.name}: {m.path}: {m.breaks}" + (f" [{m.survives}]" if m.survives else ""))
-        return 0
     status = 0
     for m in chosen:
         try:
-            killed, outcome = run_mutant(m)
+            text = mutated(m)
         except LookupError as error:
             print(f"{m.name}: error: {error}", flush=True)
             status = 2
             continue
+        if args.list:
+            print(f"{m.name}: {m.path}: {m.breaks}" + (f" [{m.survives}]" if m.survives else ""))
+            continue
+        killed, outcome = run_mutant(m, text)
         note = f" (expected: {m.survives})" if m.survives and not killed else ""
         print(f"{m.name}: {'killed by ' if killed else ''}{outcome}{note}", flush=True)
         if not killed and not m.survives and status == 0:

@@ -87,22 +87,15 @@ def run_ga(
     truncation of parents plus offspring.
     """
     rng = random.Random(seed)
-    ledger, state = seed_population(space, oracle, params, rng)
-    trajectory = [IterationRecord(0, ledger.consumed, None, None, 0, state.best.raw.f_t)]
-    for iteration in generations(space, ledger, params):
-        offspring = breed(
-            state.population, _raw_target_tournament, space, oracle, ledger, params, rng
-        )
+    state = seed_population(space, oracle, params, rng)
+    state.record(0, None)
+    for iteration in generations(space, state.ledger, params):
+        offspring = breed(state, _raw_target_tournament, space, oracle, params, rng)
         update_stagnation(state, offspring)
-        merged = state.population + offspring
-        merged.sort(key=lambda ind: ind.raw.f_t)
+        merged = sorted(state.population + offspring, key=lambda ind: ind.raw.f_t)
         state.population = merged[: params.population_size]
-        trajectory.append(
-            IterationRecord(
-                iteration, ledger.consumed, None, None, state.stagnation, state.best.raw.f_t
-            )
-        )
-    return finish_run("ga", ledger, trajectory)
+        state.record(iteration, None)
+    return finish_run("ga", state.ledger, state.trajectory)
 
 
 def run_optimizer(

@@ -43,7 +43,9 @@ TRAJECTORY_FIELDS = ("run_id", "iteration", "b", "w", "p_prime", "o", "best_f_t_
 CONVERGENCE_FIELDS = ("run_id", "measurement", "best_f_t_raw")
 TUNE_OUTPUTS = ("trajectories", "convergence", "best.json")  # what tune writes
 CAMPAIGN_OUTPUTS = ("trajectories", "convergence", "report", "summary.json")  # bench and report
-CASE_KEYS = ("budgets", "optimizers", "repeats", "normalized_mean")  # what report reads of a case
+# what report reads of a case and the type it needs; a case may add a "speedup" mapping
+CASE_KEYS = {"budgets": list, "optimizers": list, "repeats": int, "normalized_mean": dict}
+TYPE_NAMES = {list: "a list", int: "an integer", dict: "a mapping"}
 NOT_ACHIEVED_MARK = "✗"  # the "not achieved" cross in speedup tables
 
 
@@ -236,19 +238,31 @@ def cmd_bench(args) -> int:
     return 1 if len(failed) == len(results) else 0
 
 
-def _case_entry_problem(entry: dict) -> str | None:
+def _case_entry_problem(entry) -> str | None:
     """Why report cannot read a summary's case entry, or None if it can."""
+    if not isinstance(entry, dict):
+        return f"is {entry!r}, not a mapping"
     if "error" in entry:
         return None
-    missing = [key for key in CASE_KEYS if key not in entry]
-    if missing:
-        return f"lacks {missing[0]!r}"
-    if not isinstance(entry["repeats"], int):
-        return f"has 'repeats' {entry['repeats']!r}, not an integer"
+    for key, kind in CASE_KEYS.items():
+        if key not in entry:
+            return f"lacks {key!r}"
+        if not isinstance(entry[key], kind):
+            return f"has {key!r} {entry[key]!r}, not {TYPE_NAMES[kind]}"
     for label, means in entry["normalized_mean"].items():
-        absent = [b for b in entry["budgets"] if str(b) not in means]
-        if absent:
-            return f"lists budget {absent[0]} in 'budgets' but not in 'normalized_mean.{label}'"
+        if not isinstance(means, dict):
+            return f"has 'normalized_mean.{label}' {means!r}, not a mapping"
+        for b in entry["budgets"]:
+            if str(b) not in means:
+                return f"lists budget {b} in 'budgets' but not in 'normalized_mean.{label}'"
+            if not isinstance(means[str(b)], (int, float)):
+                return f"has 'normalized_mean.{label}.{b}' {means[str(b)]!r}, not a number"
+    speedups = entry.get("speedup", {})
+    if not isinstance(speedups, dict):
+        return f"has 'speedup' {speedups!r}, not a mapping"
+    for label, value in speedups.items():
+        if value is not None and not isinstance(value, (int, float)):
+            return f"has 'speedup.{label}' {value!r}, not a number or null"
     return None
 
 

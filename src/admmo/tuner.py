@@ -133,16 +133,6 @@ class OptimizerSpec:
         return f"admmo_{suffix}" if suffix else "admmo"
 
 
-@dataclass
-class TunerState:
-    """Mutable per-run state: current weight, stagnation, global best."""
-
-    w: float
-    stagnation: int = 0
-    best: Individual | None = None
-    population: list[Individual] = field(default_factory=list)
-
-
 @dataclass(frozen=True)
 class Proportion:
     """Unique-configuration counts behind p' = nondominated / unique."""
@@ -171,6 +161,25 @@ class IterationRecord:
     p_prime: float | None
     o: int | None
     best_f_t_raw: float
+
+
+@dataclass
+class TunerState:
+    """The state of one population-based run: its ledger, population and
+    best target value so far, its weight (None for a run that searches the
+    plain objectives), stagnation count and trajectory."""
+
+    ledger: BudgetLedger
+    population: list[Individual]
+    best_f_t: float
+    w: float | None = None
+    stagnation: int = 0
+    trajectory: list[IterationRecord] = field(default_factory=list)
+
+    def record(self, iteration: int, p_prime: float | None) -> None:
+        """Append the trajectory row of ``iteration``."""
+        row = (iteration, self.ledger.consumed, self.w, p_prime, self.stagnation, self.best_f_t)
+        self.trajectory.append(IterationRecord(*row))
 
 
 @dataclass(frozen=True)
@@ -395,27 +404,22 @@ def select_survivors(
     return fill_by_fronts(fronts, capacity), proportion
 
 
-def update_stagnation(state: TunerState, offspring: list[Individual]) -> TunerState:
-    """Reset the stagnation count if the offspring strictly improved the
-    best target value seen so far; otherwise increment it."""
-    improved = None
-    for ind in offspring:
-        if ind.raw.f_t < state.best.raw.f_t and (
-            improved is None or ind.raw.f_t < improved.raw.f_t
-        ):
-            improved = ind
-    if improved is not None:
-        state.best = improved
+def update_stagnation(state: TunerState, offspring: list[Individual]) -> None:
+    """Store the offspring's best target value and reset the stagnation
+    count if it strictly improves on the best so far; otherwise increment it."""
+    best = min((ind.raw.f_t for ind in offspring), default=math.inf)
+    if best < state.best_f_t:
+        state.best_f_t = best
         state.stagnation = 0
     else:
         state.stagnation += 1
-    return state
 
 
 def seed_population(
     space: ConfigSpace, oracle: MeasurementOracle, params: TunerParams, rng: random.Random
-) -> tuple[BudgetLedger, TunerState]:
-    """A fresh ledger and a state holding the measured initial draws.
+) -> TunerState:
+    """A run's state with a fresh ledger, the measured initial draws as its
+    population and no weight.
 
     Every population-based run starts here, so runs with equal seeds
     start from identical populations.
@@ -427,12 +431,7 @@ def seed_population(
         Individual(cfg, measure(oracle, cfg, ledger))
         for cfg in (space.random_config(rng) for _ in range(params.population_size))
     ]
-    state = TunerState(
-        w=INITIAL_WEIGHT,
-        best=min(population, key=lambda ind: ind.raw.f_t),
-        population=population,
-    )
-    return ledger, state
+    return TunerState(ledger, population, min(ind.raw.f_t for ind in population))
 
 
 def generations(space: ConfigSpace, ledger: BudgetLedger, params: TunerParams) -> Iterator[int]:
@@ -453,21 +452,21 @@ def generations(space: ConfigSpace, ledger: BudgetLedger, params: TunerParams) -
 
 
 def breed(
-    population: list[Individual],
+    state: TunerState,
     pick_parents: Callable[[list[Individual], random.Random], tuple[Individual, Individual]],
     space: ConfigSpace,
     oracle: MeasurementOracle,
-    ledger: BudgetLedger,
     params: TunerParams,
     rng: random.Random,
 ) -> list[Individual]:
-    """One generation of offspring: pick a parent pair, cross it over,
-    mutate each child, and measure it unless the ledger already has it,
-    until a population's worth of children is admitted."""
+    """One generation of offspring: pick a parent pair from the run's
+    population, cross it over, mutate each child, and measure it unless the
+    run's ledger already has it, until a population's worth is admitted."""
+    ledger = state.ledger
     offspring: list[Individual] = []
     exhausted = False
     while len(offspring) < params.population_size and not exhausted:
-        parent_x, parent_y = pick_parents(population, rng)
+        parent_x, parent_y = pick_parents(state.population, rng)
         children = uniform_crossover(parent_x.config, parent_y.config, CROSSOVER_RATE, rng)
         for child in children:
             child = boundary_mutation(child, MUTATION_RATE, space, rng)
@@ -484,9 +483,7 @@ def breed(
 
 
 def finish_run(
-    optimizer: str,
-    ledger: BudgetLedger,
-    trajectory: list[IterationRecord],
+    optimizer: str, ledger: BudgetLedger, trajectory: list[IterationRecord]
 ) -> TuningRun:
     """Package a finished run, read off the ledger's charges: the best is
     the first charged configuration with the least target value, and the
@@ -503,13 +500,13 @@ def finish_run(
     )
 
 
-def _set_objectives(union: list[Individual], weighted: bool, w: float) -> None:
-    if weighted:
-        compute_meta_union(union, w)
-    else:
+def _set_objectives(union: list[Individual], w: float | None) -> None:
+    if w is None:
         for ind in union:
             ind.g1 = ind.f_t_norm
             ind.g2 = ind.f_a_norm
+    else:
+        compute_meta_union(union, w)
 
 
 def evolve(
@@ -526,8 +523,8 @@ def evolve(
 
     The adaptive kind starts at ``INITIAL_WEIGHT`` and only moves the
     weight when the trigger fires. ``mmo_fixed`` keeps ``spec.fixed_w``
-    throughout, and ``pmo`` searches the plain normalized objectives;
-    both keep every duplicate. The trigger draws come from a dedicated
+    throughout, and ``pmo`` searches the plain normalized objectives
+    with no weight; both keep every duplicate. The trigger draws come from a dedicated
     stream so that runs differing only in trigger or duplicate handling
     share the same initialization and variation randomness for a given
     seed.
@@ -535,34 +532,32 @@ def evolve(
     if spec.kind not in ("admmo", "mmo_fixed", "pmo"):
         raise ValueError(f"{spec.kind} does not run the evolutionary loop")
     adaptive = spec.kind == "admmo"
-    weighted = spec.kind != "pmo"
     duplicates_mode = spec.duplicates_mode if adaptive else DUPLICATES_INDISTINCT
     rng = random.Random(seed)
     trigger_rng = random.Random(f"trigger:{seed}")
-    ledger, state = seed_population(space, oracle, params, rng)
-    if spec.kind == "mmo_fixed":
-        state.w = spec.fixed_w
+    state = seed_population(space, oracle, params, rng)
+    if spec.kind != "pmo":
+        state.w = INITIAL_WEIGHT if adaptive else spec.fixed_w
     normalize_union(state.population)
-    _set_objectives(state.population, weighted, state.w)
+    _set_objectives(state.population, state.w)
     # ranks/crowding for the first mating round
     fronts = nondominated_sort(state.population)
     for front in fronts:
         crowding_distance(front)
-    proportion = Proportion.of_front(fronts[0], state.population)
-    trajectory = [_record(0, ledger, state, proportion, weighted)]
-    for iteration in generations(space, ledger, params):
-        offspring = breed(state.population, binary_tournament, space, oracle, ledger, params, rng)
+    state.record(0, Proportion.of_front(fronts[0], state.population).value)
+    for iteration in generations(space, state.ledger, params):
+        offspring = breed(state, binary_tournament, space, oracle, params, rng)
         update_stagnation(state, offspring)
         union = state.population + offspring
         normalize_union(union)
 
         if adaptive and (
             spec.trigger_mode == TRIGGER_CONSTANT
-            or should_trigger(state.stagnation, ledger.consumed, params.budget, trigger_rng)
+            or should_trigger(state.stagnation, state.ledger.consumed, params.budget, trigger_rng)
         ):
             state.w = adapt_weight(union, state.w, params.target_proportion)
         else:
-            _set_objectives(union, weighted, state.w)
+            _set_objectives(union, state.w)
 
         if union_observer is not None:
             union_observer(iteration, union)
@@ -570,26 +565,9 @@ def evolve(
         state.population, proportion = select_survivors(
             union, params.population_size, duplicates_mode
         )
-        trajectory.append(_record(iteration, ledger, state, proportion, weighted))
+        state.record(iteration, proportion.value)
 
-    return finish_run(spec.label, ledger, trajectory)
-
-
-def _record(
-    iteration: int,
-    ledger: BudgetLedger,
-    state: TunerState,
-    proportion: Proportion,
-    weighted: bool,
-) -> IterationRecord:
-    return IterationRecord(
-        iteration=iteration,
-        b=ledger.consumed,
-        w=state.w if weighted else None,
-        p_prime=proportion.value,
-        o=state.stagnation,
-        best_f_t_raw=state.best.raw.f_t,
-    )
+    return finish_run(spec.label, state.ledger, state.trajectory)
 
 
 def run_admmo(

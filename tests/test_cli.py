@@ -501,6 +501,12 @@ class TestReport:
     @pytest.mark.parametrize("change, message", [
         ({"budgets": [10, 16, 99]}, "lists budget 99 in 'budgets' but not in 'normalized_mean.rs'"),
         ({"repeats": "5"}, "has 'repeats' '5', not an integer"),
+        ({"normalized_mean": 5}, "has 'normalized_mean' 5, not a mapping"),
+        ({"budgets": 7}, "has 'budgets' 7, not a list"),
+        ({"normalized_mean": {"a": {"10": [1], "16": 0.5}}},
+         "has 'normalized_mean.a.10' [1], not a number"),
+        ({"optimizers": 3}, "has 'optimizers' 3, not a list"),
+        ({"speedup": [1]}, "has 'speedup' [1], not a mapping"),
     ])
     def test_case_entry_of_the_wrong_shape_exits_2(self, tmp_path, capsys, change, message):
         entry = {"budgets": [10, 16], "optimizers": ["rs"], "repeats": 1,

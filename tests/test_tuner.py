@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from admmo import (
     BenchCase,
+    BudgetLedger,
     Individual,
     OptimizerSpec,
     PerfSample,
@@ -694,21 +695,20 @@ class TestSurvivalProperties:
 
 class TestUpdateStagnation:
     def make_state(self, best_f_t=0.5):
-        best = make_individual(0, f_t=best_f_t)
-        return TunerState(w=1.0, best=best)
+        return TunerState(BudgetLedger(budget=10), [], best_f_t)
 
     def test_new_best_resets(self):
         state = self.make_state()
         state.stagnation = 4
         update_stagnation(state, [make_individual(1, f_t=0.4)])
         assert state.stagnation == 0
-        assert state.best.raw.f_t == 0.4
+        assert state.best_f_t == 0.4
 
     def test_exact_tie_counts_as_stagnant(self):
         state = self.make_state()
         update_stagnation(state, [make_individual(1, f_t=0.5)])
         assert state.stagnation == 1
-        assert state.best.raw.f_t == 0.5
+        assert state.best_f_t == 0.5
 
     def test_three_stagnant_iterations(self):
         state = self.make_state()
@@ -716,13 +716,18 @@ class TestUpdateStagnation:
             update_stagnation(state, [make_individual(1, f_t=0.9)])
         assert state.stagnation == 3
 
+    def test_no_offspring_counts_as_stagnant(self):
+        state = self.make_state()
+        update_stagnation(state, [])
+        assert (state.stagnation, state.best_f_t) == (1, 0.5)
+
     def test_picks_best_offspring_of_the_batch(self):
         state = self.make_state()
         update_stagnation(
             state,
             [make_individual(1, f_t=0.4), make_individual(2, f_t=0.3)],
         )
-        assert state.best.raw.f_t == 0.3
+        assert state.best_f_t == 0.3
 
 
 class TestRunAdmmo:
@@ -833,7 +838,7 @@ def test_trajectory_p_prime_is_the_pairwise_reference_of_each_union(case, spec):
             unions[iteration] = meta_snapshot(union)
 
         run = tuner.evolve(space, oracle, params, seed, spec, union_observer=observe)
-        _, state = tuner.seed_population(space, oracle, params, random.Random(seed))
+        state = tuner.seed_population(space, oracle, params, random.Random(seed))
         normalize_union(state.population)
         w = run.trajectory[0].w
         if w is None:
@@ -903,7 +908,7 @@ def test_run_stops_a_stall_cap_after_its_last_charge(spec, seed):
     # only swaps genes, so with no 1 among the initial draws no 1 is charged.
     oracle = synthetic_landscape(2, [3, 2], k=1, seed=3)
     params = TunerParams(budget=6, population_size=2)
-    _, state = tuner.seed_population(oracle.space, oracle, params, random.Random(seed))
+    state = tuner.seed_population(oracle.space, oracle, params, random.Random(seed))
     assert all(ind.config[0] != 1 for ind in state.population)
     run = run_optimizer(spec, oracle.space, oracle, params, seed)
     assert run.measurements_used < min(params.budget, oracle.space.size())
