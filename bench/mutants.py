@@ -48,6 +48,8 @@ class Mutant:
 
 
 TUNER = "src/admmo/tuner.py"
+ORACLES = "src/admmo/oracles.py"
+SPACE = "src/admmo/space.py"
 MUTANTS = (
     Mutant(
         "M3", TUNER,
@@ -131,6 +133,50 @@ MUTANTS = (
         "            elif ledger.remaining > 0:\n",
         "            elif ledger.remaining >= 0:\n",
         "a child is measured when the budget is spent",
+    ),
+    # one mutant per north-star invariant
+    Mutant(
+        "measure-past-budget", ORACLES,
+        "    if ledger.consumed >= ledger.budget:\n",
+        "    if ledger.consumed > ledger.budget:\n",
+        "measure charges one configuration more than the budget",
+    ),
+    Mutant(
+        "measure-ignores-cache", ORACLES,
+        "    cached = ledger.cache.get(config)\n",
+        "    cached = None\n",
+        "measure samples the oracle again for a configuration it has charged",
+    ),
+    Mutant(
+        "front-zero-copies-kept", TUNER,
+        "    for i in range(len(fronts) - 1):\n",
+        "    for i in range(1, len(fronts) - 1):\n",
+        "partial retention keeps every copy of a configuration in front 0",
+    ),
+    Mutant(
+        "thresholds-unsorted", TUNER,
+        "    return sorted(thresholds)\n",
+        "    return thresholds\n",
+        "weight_thresholds returns its thresholds in point order, so p' is not monotone in w",
+    ),
+    Mutant(
+        "pool-order", "src/admmo/harness.py",
+        "                outcomes = pool.map(_one_run, tasks) if pool else map(_one_run, tasks)\n",
+        "                outcomes = pool.map(_one_run, tasks[::-1]) if pool else map(_one_run, tasks)\n",
+        "a pool runs the tasks in reverse, so jobs=2 files each run under another's id",
+    ),
+    # the option domain that validation and enumeration read
+    Mutant(
+        "contains-takes-floats", SPACE,
+        "        return (self.kind != INTEGER or isinstance(value, int)) and value in self.domain\n",
+        "        return value in self.domain\n",
+        "an integer option contains 1.0",
+    ),
+    Mutant(
+        "domain-drops-hi", SPACE,
+        "            return range(self.lo, self.hi + 1)\n",
+        "            return range(self.lo, self.hi)\n",
+        "an integer option's domain lacks its upper bound",
     ),
 )
 

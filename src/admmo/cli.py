@@ -38,12 +38,12 @@ def __getattr__(name: str):
     return getattr(import_module(f".{_LAZY[name]}", __package__), name)
 
 
-# "run_id" plus the fields of tuner.IterationRecord, in order
-TRAJECTORY_FIELDS = ("run_id", "iteration", "b", "w", "p_prime", "o", "best_f_t_raw")
 CONVERGENCE_FIELDS = ("run_id", "measurement", "best_f_t_raw")
 TUNE_OUTPUTS = ("trajectories", "convergence", "best.json")  # what tune writes
 CAMPAIGN_OUTPUTS = ("trajectories", "convergence", "report", "summary.json")  # bench and report
-# what report reads of a case and the type it needs; a case may add a "speedup" mapping
+# what report reads of a summary and of a case, and the type it needs; both
+# summary keys may be absent, and a case may add a "speedup" mapping
+SUMMARY_KEYS = {"cases": dict, "budgets": list}
 CASE_KEYS = {"budgets": list, "optimizers": list, "repeats": int, "normalized_mean": dict}
 TYPE_NAMES = {list: "a list", int: "an integer", dict: "a mapping"}
 NOT_ACHIEVED_MARK = "✗"  # the "not achieved" cross in speedup tables
@@ -52,9 +52,27 @@ NOT_ACHIEVED_MARK = "✗"  # the "not achieved" cross in speedup tables
 def run_id(case_id: str, label: str, budget: int, rep: int) -> str:
     """The id of one campaign run, which also names its output files.
 
-    bench assigns it and report reads it back, so it lives here rather
-    than in the harness: report must not load the tuner."""
+    bench assigns it and report reads it back (``_is_listed_run``), so it
+    lives here rather than in the harness: report must not load the tuner."""
     return f"{case_id}__{label}__b{budget}__r{rep}"
+
+
+def _is_listed_run(name: str, cases: dict) -> bool:
+    """Whether ``name`` is the ``run_id`` of a run that a summary's case
+    entry lists, read off the name, so that no id is listed: a summary
+    may give any number of repeats."""
+    head, _, rep = name.rpartition("__r")
+    head, _, budget = head.rpartition("__b")
+    if not (rep.isdecimal() and str(int(rep)) == rep):
+        return False
+    return any(
+        head.startswith(f"{case_id}__")
+        and head[len(case_id) + 2 :] in entry["optimizers"]
+        and budget in map(str, entry["budgets"])
+        and int(rep) < entry["repeats"]
+        for case_id, entry in cases.items()
+        if "error" not in entry
+    )
 
 
 def _provenance(digest: str, seed: int) -> list[str]:
@@ -86,11 +104,13 @@ def _write_csv(path: Path, header_lines: list[str], fields: tuple[str, ...], row
 
 def _write_run_files(rid: str, run: TuningRun, out_dir: Path, provenance: list[str]) -> None:
     """Write one run's trajectory and convergence tables, named by its id."""
+    from .tuner import IterationRecord
+
     _write_csv(
         out_dir / "trajectories" / f"{rid}.csv",
         provenance,
-        TRAJECTORY_FIELDS,
-        ((rid, *(getattr(rec, name) for name in TRAJECTORY_FIELDS[1:])) for rec in run.trajectory),
+        ("run_id", *IterationRecord._fields),
+        ((rid, *rec) for rec in run.trajectory),
     )
     _write_csv(
         out_dir / "convergence" / f"{rid}.csv",
@@ -238,6 +258,16 @@ def cmd_bench(args) -> int:
     return 1 if len(failed) == len(results) else 0
 
 
+def _summary_problem(summary) -> str | None:
+    """Why report cannot read a summary's top level, or None if it can."""
+    if not isinstance(summary, dict):
+        return f"is {summary!r}, not a mapping"
+    for key, kind in SUMMARY_KEYS.items():
+        if key in summary and not isinstance(summary[key], kind):
+            return f"has {key!r} {summary[key]!r}, not {TYPE_NAMES[kind]}"
+    return None
+
+
 def _case_entry_problem(entry) -> str | None:
     """Why report cannot read a summary's case entry, or None if it can."""
     if not isinstance(entry, dict):
@@ -249,6 +279,8 @@ def _case_entry_problem(entry) -> str | None:
             return f"lacks {key!r}"
         if not isinstance(entry[key], kind):
             return f"has {key!r} {entry[key]!r}, not {TYPE_NAMES[kind]}"
+    if not entry["normalized_mean"]:
+        return "has an empty 'normalized_mean'"
     for label, means in entry["normalized_mean"].items():
         if not isinstance(means, dict):
             return f"has 'normalized_mean.{label}' {means!r}, not a mapping"
@@ -277,6 +309,10 @@ def cmd_report(args) -> int:
         summary = json.loads(summary_path.read_text())
     except json.JSONDecodeError as exc:
         print(f"error: corrupt summary {summary_path}: {exc}", file=sys.stderr)
+        return 2
+    problem = _summary_problem(summary)
+    if problem:
+        print(f"error: {summary_path} {problem}", file=sys.stderr)
         return 2
 
     cases = summary.get("cases", {})
@@ -356,17 +392,9 @@ def _collect_weight_series(campaign_dir: Path, cases: dict):
 
     Other files in ``trajectories/`` are not read, and a listed run whose
     file is missing adds no rows."""
-    run_ids = sorted(
-        run_id(case_id, label, budget, rep)
-        for case_id, entry in cases.items()
-        if "error" not in entry
-        for label in entry["optimizers"]
-        for budget in entry["budgets"]
-        for rep in range(entry["repeats"])
-    )
-    for rid in run_ids:
-        path = campaign_dir / "trajectories" / f"{rid}.csv"
-        if not path.exists():
+    paths = sorted((campaign_dir / "trajectories").glob("*.csv"), key=lambda path: path.stem)
+    for path in paths:
+        if not _is_listed_run(path.stem, cases):
             continue
         with path.open(encoding="utf-8") as fh:
             reader = csv.DictReader(line for line in fh if not line.startswith("#"))

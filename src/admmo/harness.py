@@ -71,9 +71,18 @@ def _set_case(case: BenchCase | None) -> None:
     _case = case
 
 
+class _RunFailure(Exception):
+    """A run's exception as ``"<Type>: <message>"`` text. A pool hands a
+    worker's exception back pickled, and not every exception rebuilds from
+    its pickle; text does, so ``jobs=1`` and ``jobs=N`` report alike."""
+
+
 def _one_run(args) -> TuningRun:
     spec, params, seed = args
-    return run_optimizer(spec, _case.space, _case.oracle, params, seed)
+    try:
+        return run_optimizer(spec, _case.space, _case.oracle, params, seed)
+    except Exception as exc:  # noqa: BLE001 - run_campaign reports it with the run's id
+        raise _RunFailure(f"{type(exc).__name__}: {exc}")
 
 
 def run_campaign(
@@ -120,7 +129,8 @@ def run_campaign(
                     result.runs[spec.label][run_params.budget].append(next(outcomes))
         except Exception as exc:  # noqa: BLE001 - per-case failures must not kill the campaign
             rid = task and run_id(case.case_id, task[0].label, task[1].budget, task[2] - base_seed)
-            result.error = f"run {rid}: {type(exc).__name__}: {exc}"
+            text = str(exc) if isinstance(exc, _RunFailure) else f"{type(exc).__name__}: {exc}"
+            result.error = f"run {rid}: {text}"
             result.runs = {}
         finally:
             _set_case(None)  # the parent must not keep the last case's table alive

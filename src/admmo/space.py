@@ -67,26 +67,19 @@ class OptionSpec:
     def categorical(cls, name: str, levels: tuple[str, ...] | list[str]) -> "OptionSpec":
         return cls(name=name, kind=CATEGORICAL, levels=tuple(levels))
 
-    def domain_size(self) -> int:
-        if self.kind == BINARY:
-            return 2
+    @property
+    def domain(self) -> range | tuple[Any, ...]:
+        """The values the option may take, in enumeration order."""
         if self.kind == INTEGER:
-            return self.hi - self.lo + 1
-        return len(self.levels)
+            return range(self.lo, self.hi + 1)
+        return (0, 1) if self.kind == BINARY else self.levels
 
-    def domain_values(self) -> tuple[Any, ...]:
-        if self.kind == BINARY:
-            return (0, 1)
-        if self.kind == INTEGER:
-            return tuple(range(self.lo, self.hi + 1))
-        return self.levels
+    def domain_size(self) -> int:
+        return len(self.domain)
 
     def contains(self, value: Any) -> bool:
-        if self.kind == BINARY:
-            return value in (0, 1)
-        if self.kind == INTEGER:
-            return isinstance(value, int) and self.lo <= value <= self.hi
-        return value in self.levels
+        # ``in`` a range would also take 1.0
+        return (self.kind != INTEGER or isinstance(value, int)) and value in self.domain
 
 
 class Configuration(tuple):
@@ -112,10 +105,8 @@ class ConfigSpace:
     """An ordered, immutable collection of options."""
 
     options: tuple[OptionSpec, ...]
-    # built once for ``validate`` and ``random_config``: per option the
-    # values it may take (the very tuple ``OptionSpec.contains`` tests for
-    # binary and categorical options, a range for integer ones), and the
-    # integer options' positions
+    # built once for ``validate``, ``random_config`` and ``enumerate_all``:
+    # each option's ``domain``, and the integer options' positions
     _domains: tuple = field(init=False, compare=False, repr=False)
     _integer_positions: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
@@ -125,11 +116,7 @@ class ConfigSpace:
         names = [opt.name for opt in self.options]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate option names in {names}")
-        domains = tuple(
-            range(opt.lo, opt.hi + 1) if opt.kind == INTEGER else opt.domain_values()
-            for opt in self.options
-        )
-        object.__setattr__(self, "_domains", domains)
+        object.__setattr__(self, "_domains", tuple(opt.domain for opt in self.options))
         object.__setattr__(
             self,
             "_integer_positions",
@@ -176,5 +163,4 @@ class ConfigSpace:
             raise SpaceTooLargeError(
                 f"space too large to enumerate: {total} configurations > cap {cap}"
             )
-        domains = [opt.domain_values() for opt in self.options]
-        return [Configuration(vals) for vals in itertools.product(*domains)]
+        return [Configuration(vals) for vals in itertools.product(*self._domains)]

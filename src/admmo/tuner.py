@@ -25,7 +25,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, repeat
 from operator import neg
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .mmo import Individual, compute_meta_union, normalize_union
 from .nsga2 import (
@@ -151,9 +151,8 @@ class Proportion:
         return cls(len({ind.config for ind in front}), len({ind.config for ind in union}))
 
 
-@dataclass(frozen=True)
-class IterationRecord:
-    """One trajectory row; field names match the emitted table columns."""
+class IterationRecord(NamedTuple):
+    """One trajectory row; its fields are the trajectory table's columns."""
 
     iteration: int
     b: int

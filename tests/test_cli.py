@@ -16,7 +16,6 @@ import admmo
 from admmo import cli
 from admmo.cli import main
 from admmo.runspec import RunSpecError, load_runspec
-from admmo.tuner import IterationRecord
 
 DEMO_DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
 
@@ -507,6 +506,7 @@ class TestReport:
          "has 'normalized_mean.a.10' [1], not a number"),
         ({"optimizers": 3}, "has 'optimizers' 3, not a list"),
         ({"speedup": [1]}, "has 'speedup' [1], not a mapping"),
+        ({"normalized_mean": {}}, "has an empty 'normalized_mean'"),
     ])
     def test_case_entry_of_the_wrong_shape_exits_2(self, tmp_path, capsys, change, message):
         entry = {"budgets": [10, 16], "optimizers": ["rs"], "repeats": 1,
@@ -518,6 +518,21 @@ class TestReport:
             f"error: case 'c' in {tmp_path / 'summary.json'} {message}\n"
         )
         assert not (tmp_path / "report").exists()
+
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda summary: [1, 2], "is [1, 2], not a mapping"),
+        (lambda summary: {"cases": "x"}, "has 'cases' 'x', not a mapping"),
+        (lambda summary: {**summary, "budgets": -1}, "has 'budgets' -1, not a list"),
+    ], ids=["list", "cases-string", "budgets-integer"])
+    def test_summary_of_the_wrong_shape_exits_2(self, spec_dir, capsys, edit, problem):
+        campaign = spec_dir / "campaign"
+        assert main(["bench", str(spec_dir / "spec.yaml")]) == 0
+        path = campaign / "summary.json"
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        capsys.readouterr()
+        assert main(["report", str(campaign)]) == 2
+        assert capsys.readouterr().err == f"error: {path} {problem}\n"
+        assert not (campaign / "report").exists()
 
     def test_unrelated_key_error_is_not_swallowed(self, spec_dir, monkeypatch):
         assert main(["bench", str(spec_dir / "spec.yaml")]) == 0
@@ -554,6 +569,35 @@ class TestReport:
         series = (spec_dir / "r2" / "weight_series.csv").read_text()
         assert "demo-system__admmo__b12__r0" in series
         assert "stray" not in series
+        assert series == (spec_dir / "r1" / "weight_series.csv").read_text()
+
+    def test_reads_no_run_beyond_the_listed_ones(self, spec_dir):
+        campaign = spec_dir / "campaign"
+        main(["bench", str(spec_dir / "spec.yaml")])
+        main(["report", str(campaign), "--out", str(spec_dir / "r1")])
+        trajectories = campaign / "trajectories"
+        listed = (trajectories / "demo-system__admmo__b12__r0.csv").read_text()
+        # a repeat past "repeats", a repeat not written as run_id writes it,
+        # an unlisted budget and an unlisted optimizer
+        for rid in ("demo-system__admmo__b12__r3", "demo-system__admmo__b12__r01",
+                    "demo-system__admmo__b99__r0", "demo-system__ga__b12__r0"):
+            (trajectories / f"{rid}.csv").write_text(
+                listed.replace("demo-system__admmo__b12__r0", rid)
+            )
+        main(["report", str(campaign), "--out", str(spec_dir / "r2")])
+        series = (spec_dir / "r2" / "weight_series.csv").read_text()
+        assert series == (spec_dir / "r1" / "weight_series.csv").read_text()
+
+    def test_huge_repeats_reads_only_the_files_that_exist(self, spec_dir):
+        campaign = spec_dir / "campaign"
+        main(["bench", str(spec_dir / "spec.yaml")])
+        main(["report", str(campaign), "--out", str(spec_dir / "r1")])
+        path = campaign / "summary.json"
+        summary = json.loads(path.read_text())
+        summary["cases"]["demo-system"]["repeats"] = 10**30
+        path.write_text(json.dumps(summary))
+        assert main(["report", str(campaign), "--out", str(spec_dir / "r2")]) == 0
+        series = (spec_dir / "r2" / "weight_series.csv").read_text()
         assert series == (spec_dir / "r1" / "weight_series.csv").read_text()
 
 
@@ -633,7 +677,3 @@ class TestImports:
             assert value is getattr(importlib.import_module(value.__module__), name), name
         with pytest.raises(AttributeError):
             admmo.no_such_name
-
-    def test_trajectory_fields_are_the_iteration_record(self):
-        expected = ("run_id",) + tuple(f.name for f in dataclasses.fields(IterationRecord))
-        assert cli.TRAJECTORY_FIELDS == expected

@@ -67,6 +67,23 @@ class BrokenOracle:
         raise RuntimeError("dead system under test")
 
 
+class OracleDown(Exception):
+    """An exception that its args cannot rebuild, so it does not unpickle."""
+
+    def __init__(self, host, code):
+        super().__init__(f"{host} answered {code}")
+
+
+@dataclass(frozen=True)
+class DownOracle:
+    """A system under test whose every measurement raises ``OracleDown``."""
+
+    space: ConfigSpace
+
+    def sample(self, config):
+        raise OracleDown("bench-host", 503)
+
+
 def table_case(case_id="table") -> BenchCase:
     """A case replaying every configuration of a 12-option binary space."""
     landscape = synthetic_landscape(n_options=12, domain_sizes=2, k=3, seed=17)
@@ -157,6 +174,23 @@ class TestCampaign:
             assert "broken__rs__b15__r0" in results[0].error
             assert results[1].error is None
             assert campaign_summary(results[1:]) == expected
+
+    def test_run_error_reads_alike_at_any_jobs(self):
+        # a worker's OracleDown would not unpickle in the parent and would
+        # break the pool, so jobs=2 must report the run's error as jobs=1 does
+        good = self.make_cases()[0]
+        cases = [BenchCase("down", good.space, DownOracle(good.space)), good]
+        expected = campaign_summary(
+            run_campaign([good], [OptimizerSpec("rs")], [15], 2, base_seed=0)
+        )
+        errors = []
+        for jobs in (1, 2):
+            results = run_campaign(cases, [OptimizerSpec("rs")], [15], 2, base_seed=0, jobs=jobs)
+            errors.append(results[0].error)
+            assert results[1].error is None
+            assert campaign_summary(results[1:]) == expected
+        assert errors[0] == errors[1]
+        assert errors[0] == "run down__rs__b15__r0: OracleDown: bench-host answered 503"
 
     def test_tasks_do_not_carry_the_case(self, monkeypatch):
         sizes = []

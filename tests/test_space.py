@@ -100,7 +100,7 @@ ANY_VALUE = st.one_of(
 def near_domain(opt: OptionSpec):
     """Values of the option's domain, as they are or, for an integer-valued
     domain, as floats; or anything."""
-    values = opt.domain_values()
+    values = tuple(opt.domain)
     in_domain = st.sampled_from(values)
     if not all(isinstance(v, int) for v in values):
         return st.one_of(in_domain, ANY_VALUE)
