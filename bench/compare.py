@@ -1,0 +1,184 @@
+"""Compare the benchmark of a base revision and this checkout in alternating pairs.
+
+Checks REV out in a detached ``git worktree`` under a temporary
+directory (removed again however the script ends), then runs each
+side's own ``perfbench/run.py`` untraced on one workload, for N pairs
+at one seed and run length, alternating which side runs first. For
+every end-to-end metric of ``BENCHMARK.json`` it prints each side's
+median and quartiles, the pairs this checkout wins (ties count for
+neither; ``better`` gives the direction) and whether a gain may be
+claimed: at least 10 pairs, 9 of every 10 of them won, and the medians
+further apart than the base's interquartile range. From the root of a
+checkout:
+
+    python3 bench/compare.py --base HEAD~1 --workload tune-mix --pairs 10 --seconds 10 --seed 7
+
+It writes the same table as JSON (``--out``, by default
+``compare-<workload>.json``), with the checkout's git provenance. The
+exit code is 0 when every run is correct, 1 when one is not, and 2 when
+REV is not a commit, or when ``perfbench/`` or ``BENCHMARK.json``
+differ between REV and the checkout: a comparison needs the same
+benchmark code on both sides. Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from record import git_provenance
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCHMARK_PATHS = ("perfbench", "BENCHMARK.json")
+CLAIM_PAIRS = 10  # fewest pairs a claimed gain rests on
+CLAIM_WINS = 0.9  # share of pairs the checkout must win to claim a gain
+
+
+def git(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
+
+
+def benchmark_differences(commit: str) -> list[str]:
+    """The benchmark files that differ between ``commit`` and the checkout,
+    untracked ones included."""
+    changed = git("diff", "--name-only", commit, "--", *BENCHMARK_PATHS).stdout.split()
+    untracked = git("ls-files", "--others", "--exclude-standard", "--", *BENCHMARK_PATHS).stdout.split()
+    return sorted(set(changed + untracked))
+
+
+def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced perfbench run of the checkout at ``root``; its last
+    stdout line is the result object."""
+    command = [
+        sys.executable, "perfbench/run.py", "--workload", workload,
+        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
+    ]
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    done = subprocess.run(command, cwd=root, env=env, capture_output=True, text=True)
+    lines = done.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        result = {"correct": False, "metrics": {}}
+    if done.returncode != 0:
+        result["correct"] = False
+        result["stderr_tail"] = done.stderr.strip().splitlines()[-5:]
+    return result
+
+
+def spread(values: list[float]) -> dict:
+    """Median and quartiles; with one value all three are that value."""
+    q1, median, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
+    return {"median": median, "q1": q1, "q3": q3, "values": values}
+
+
+def compare_metric(metric: dict, base: list[float], head: list[float]) -> dict:
+    """One row of the table: both sides' spreads, the checkout's wins and
+    whether the claim rule holds."""
+    sign = 1.0 if metric["better"] == "higher" else -1.0
+    wins = sum(sign * (h - b) > 0 for b, h in zip(base, head))
+    losses = sum(sign * (h - b) < 0 for b, h in zip(base, head))
+    base_spread, head_spread = spread(base), spread(head)
+    gap = sign * (head_spread["median"] - base_spread["median"])
+    return {
+        "unit": metric["unit"],
+        "better": metric["better"],
+        "base": base_spread,
+        "head": head_spread,
+        "wins": wins,
+        "losses": losses,
+        "claim_holds": (
+            len(base) >= CLAIM_PAIRS
+            and wins >= CLAIM_WINS * len(base)
+            and gap > base_spread["q3"] - base_spread["q1"]
+        ),
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True, help="the revision to compare against")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--out", type=Path, help="default: compare-<workload>.json")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    out = args.out or Path(f"compare-{args.workload}.json")
+
+    resolved = git("rev-parse", "--verify", "--quiet", f"{args.base}^{{commit}}")
+    if resolved.returncode != 0:
+        print(f"error: {args.base!r} is not a commit", file=sys.stderr)
+        return 2
+    commit = resolved.stdout.strip()
+    differing = benchmark_differences(commit)
+    if differing:
+        print(f"error: the benchmark differs from {args.base}: {', '.join(differing)}", file=sys.stderr)
+        return 2
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [workload["name"] for workload in benchmark["workloads"]]
+    if args.workload not in workloads:
+        parser.error(f"--workload must be one of {', '.join(workloads)}")
+
+    runs = []
+    with tempfile.TemporaryDirectory(prefix="compare-") as tmp:
+        base_root = Path(tmp) / "base"
+        added = git("worktree", "add", "--detach", str(base_root), commit)
+        if added.returncode != 0:
+            print(f"error: git worktree add failed: {added.stderr.strip()}", file=sys.stderr)
+            return 2
+        try:
+            for pair in range(args.pairs):
+                sides = [("base", base_root), ("head", ROOT)]
+                if pair % 2:
+                    sides.reverse()
+                results = {}
+                for side, root in sides:
+                    results[side] = run_side(root, args.workload, args.seed, args.seconds)
+                    print(f"pair {pair + 1} {side}: correct={results[side]['correct']}", file=sys.stderr)
+                    for line in results[side].get("stderr_tail", []):
+                        print(f"  {line}", file=sys.stderr)
+                runs.append({"first": sides[0][0], **results})
+        finally:
+            git("worktree", "remove", "--force", str(base_root))
+            git("worktree", "prune")
+
+    table = {}
+    for metric in benchmark["end_to_end"]:
+        name = metric["name"]
+        values = {
+            side: [run[side]["metrics"][name]["value"] for run in runs if name in run[side]["metrics"]]
+            for side in ("base", "head")
+        }
+        if len(values["base"]) == len(values["head"]) == len(runs):
+            table[name] = compare_metric(metric, values["base"], values["head"])
+    print(f"{args.workload}, seed {args.seed}, {args.seconds} s, {len(runs)} pairs: base {args.base} ({commit[:12]})")
+    print(f"{'metric':<20} {'base median [q1, q3]':>32} {'head median [q1, q3]':>32} {'wins':>7}  claim")
+    for name, row in table.items():
+        cells = [f"{row[s]['median']:.6g} [{row[s]['q1']:.6g}, {row[s]['q3']:.6g}]" for s in ("base", "head")]
+        print(f"{name:<20} {cells[0]:>32} {cells[1]:>32} {row['wins']:>3}/{len(runs):<3}  {'holds' if row['claim_holds'] else 'no'}")
+
+    record = {
+        **git_provenance(),
+        "base": {"rev": args.base, "commit": commit},
+        "workload": args.workload,
+        "seed": args.seed,
+        "seconds": args.seconds,
+        "pairs": len(runs),
+        "metrics": table,
+        "runs": runs,
+    }
+    out.write_text(json.dumps(record, indent=1) + "\n")
+    return 0 if all(run[side]["correct"] for run in runs for side in ("base", "head")) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -165,6 +165,25 @@ MUTANTS = (
         "                outcomes = pool.map(_one_run, tasks[::-1]) if pool else map(_one_run, tasks)\n",
         "a pool runs the tasks in reverse, so jobs=2 files each run under another's id",
     ),
+    # the NK landscape's rolling table index
+    Mutant(
+        "nk-next-unwrapped", ORACLES,
+        "        next_option = (i + k + 1) % n\n",
+        "        next_option = min(i + k + 1, n - 1)\n",
+        "the rolling index does not wrap: the last k windows take x_{n-1} as their new digit, not x_0, x_1, ...",
+    ),
+    Mutant(
+        "nk-modulus-wrong-digits", ORACLES,
+        "        steps.append((offset, math.prod(shape[1:]), sizes[next_option], next_option))\n",
+        "        steps.append((offset, math.prod(shape[:-1]), sizes[next_option], next_option))\n",
+        "the roll keeps the index modulo the first k sizes of the window, not the last k",
+    ),
+    Mutant(
+        "nk-head-digits-reversed", ORACLES,
+        "    for option in reversed(range(k + 1)):\n",
+        "    for option in range(k + 1):\n",
+        "position 0's index reads x_0 as the least significant digit",
+    ),
     # the option domain that validation and enumeration read
     Mutant(
         "contains-takes-floats", SPACE,

@@ -279,24 +279,34 @@ def _nk_shapes(sizes: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
 
 
 @functools.lru_cache(maxsize=None)
-def _nk_layout(sizes: tuple[int, ...], k: int) -> tuple[tuple[int, tuple[tuple[int, int], ...]], ...]:
-    """Where each position's table sits in a flat buffer, one
-    ``(offset, ((option, stride), ...))`` per position.
+def _nk_layout(
+    sizes: tuple[int, ...], k: int
+) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int, int, int], ...]]:
+    """Where each position's entry sits in a flat buffer: position 0's
+    ``((option, stride), ...)`` and one ``(offset, modulus, size,
+    next_option)`` per position.
 
-    Tables are stored one after another, each in C order, so the entry a
-    configuration reads is at ``offset + sum(values[option] * stride)``.
-    Landscapes of the same shape share one layout.
+    Tables are stored one after another, each in C order, so position i
+    reads ``offset + index``, where ``index`` is the mixed-radix number of
+    its window (x_i, ..., x_{i+k}) with x_i the most significant digit.
+    Position 0's index is the sum of its values times their strides. The
+    next window drops x_i and appends x_{i+k+1}, so its index is
+    ``index % modulus * size + x[next_option]``: ``modulus`` is the
+    product of the last k sizes of window i and ``size`` that of option
+    ``next_option`` = (i + k + 1) mod n. Landscapes of the same shape
+    share one layout.
     """
     n = len(sizes)
-    layout, offset = [], 0
+    head, stride = [], 1
+    for option in reversed(range(k + 1)):
+        head.append((option, stride))
+        stride *= sizes[option]
+    steps, offset = [], 0
     for i, shape in enumerate(_nk_shapes(sizes, k)):
-        terms, stride = [], 1
-        for j in reversed(range(k + 1)):
-            terms.append(((i + j) % n, stride))
-            stride *= shape[j]
-        layout.append((offset, tuple(reversed(terms))))
-        offset += stride
-    return tuple(layout)
+        next_option = (i + k + 1) % n
+        steps.append((offset, math.prod(shape[1:]), sizes[next_option], next_option))
+        offset += math.prod(shape)
+    return tuple(reversed(head)), tuple(steps)
 
 
 def _table_views(buffer: array, shapes: list[tuple[int, ...]]) -> tuple[np.ndarray, ...]:
@@ -349,12 +359,15 @@ class NkLandscape:
 
     def sample(self, config: Configuration) -> PerfSample:
         t, a = self._t_buffer, self._a_buffer
+        head, steps = self._layout
+        index = 0
+        for option, stride in head:
+            index += config[option] * stride
         f_t = f_a = 0.0
-        for offset, terms in self._layout:
-            for option, stride in terms:
-                offset += config[option] * stride
-            f_t += t[offset]
-            f_a += a[offset]
+        for offset, modulus, size, option in steps:
+            f_t += t[offset + index]
+            f_a += a[offset + index]
+            index = index % modulus * size + config[option]
         n = len(config)
         f_t /= n
         f_a /= n

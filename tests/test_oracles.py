@@ -507,6 +507,8 @@ class TestNkSample:
             (MIXED_SIZES, 7, -1.0),
             ([2] * 10, 4, 0.0),
             ([3, 2, 4, 2, 5], 4, 0.3),
+            ([2] * 12, 4, 0.0),  # the benchmark's shape
+            ([3, 2], 1, 0.3),  # the smallest wrapping window
         ],
     )
     def test_bit_identical_to_the_numpy_tables(self, sizes, k, correlation):
@@ -528,6 +530,12 @@ class TestNkSample:
             for table, reference in zip(got, expected):
                 assert table.shape == reference.shape
                 assert np.array_equal(table, reference)
+
+    def test_landscapes_of_one_shape_share_one_layout(self):
+        a = synthetic_landscape(len(MIXED_SIZES), MIXED_SIZES, 3, seed=1)
+        b = synthetic_landscape(len(MIXED_SIZES), MIXED_SIZES, 3, seed=2, correlation=0.5)
+        assert a._layout is b._layout
+        assert synthetic_landscape(len(MIXED_SIZES), MIXED_SIZES, 2, seed=1)._layout is not a._layout
 
 
 class TestSyntheticLandscape:
