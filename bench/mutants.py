@@ -180,8 +180,8 @@ MUTANTS = (
     ),
     Mutant(
         "nk-head-digits-reversed", ORACLES,
-        "    for option in reversed(range(k + 1)):\n",
-        "    for option in range(k + 1):\n",
+        "    head = tuple((option, math.prod(sizes[option + 1 : k + 1])) for option in range(k + 1))\n",
+        "    head = tuple((option, math.prod(sizes[:option])) for option in range(k + 1))\n",
         "position 0's index reads x_0 as the least significant digit",
     ),
     # the option domain that validation and enumeration read

@@ -297,16 +297,13 @@ def _nk_layout(
     share one layout.
     """
     n = len(sizes)
-    head, stride = [], 1
-    for option in reversed(range(k + 1)):
-        head.append((option, stride))
-        stride *= sizes[option]
+    head = tuple((option, math.prod(sizes[option + 1 : k + 1])) for option in range(k + 1))
     steps, offset = [], 0
     for i, shape in enumerate(_nk_shapes(sizes, k)):
         next_option = (i + k + 1) % n
         steps.append((offset, math.prod(shape[1:]), sizes[next_option], next_option))
         offset += math.prod(shape)
-    return tuple(reversed(head)), tuple(steps)
+    return head, tuple(steps)
 
 
 def _table_views(buffer: array, shapes: list[tuple[int, ...]]) -> tuple[np.ndarray, ...]:
