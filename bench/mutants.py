@@ -1,8 +1,8 @@
 """Run the tier-1 tests, without the golden digests, against small mutants.
 
-Each mutant below replaces one or two lines of the program. The script
-applies it to a temporary copy of this checkout, runs the tier-1 suite
-there without ``tests/test_golden.py``, and prints the tests that
+Each mutant below replaces one or two whole lines of the program. The
+script applies it to a temporary copy of this checkout, runs the tier-1
+suite there without ``tests/test_golden.py``, and prints the tests that
 failed, or "survived". From the root of a checkout whose tests pass:
 
     python3 bench/mutants.py             # every mutant
@@ -12,10 +12,11 @@ failed, or "survived". From the root of a checkout whose tests pass:
 A mutant may carry a reason it is expected to survive: it is equivalent
 (it changes no behaviour), or it changes only what the golden digests
 pin. The exit code is 1 when a mutant without such a reason survives,
-2 when a mutant's lines are not in the program exactly once, else 0.
-``--list`` makes that last check too, and runs nothing. Standard
-library only; CI runs only ``--list``, because a surviving mutant costs
-a whole tier-1 run.
+2 when a mutant's lines are not in the program exactly once as whole
+lines, else 0. ``--list`` makes that last check too, and runs nothing.
+Standard library only. Each mutant costs a whole tier-1 run, so CI runs
+``--list`` and, on one Python version, only the mutants of the
+generation loop that the pmo and GA kinds share.
 """
 
 from __future__ import annotations
@@ -117,9 +118,22 @@ MUTANTS = (
     ),
     Mutant(
         "pmo-weight", TUNER,
-        "    if spec.kind != \"pmo\":\n",
-        "    if True:\n",
+        "        if spec.kind != \"pmo\":\n",
+        "        if True:\n",
         "pmo runs and records the weight 1.0 instead of none",
+    ),
+    # the GA's selection inside the one generation loop
+    Mutant(
+        "ga-keeps-worst", TUNER,
+        "            union.sort(key=lambda ind: ind.raw.f_t)\n",
+        "            union.sort(key=lambda ind: ind.raw.f_t, reverse=True)\n",
+        "GA survival truncates the union to its worst raw targets",
+    ),
+    Mutant(
+        "ga-prefers-higher", "src/admmo/nsga2.py",
+        "        return a if a.raw.f_t < b.raw.f_t else b\n",
+        "        return a if a.raw.f_t > b.raw.f_t else b\n",
+        "the GA's tournament picks the higher raw target",
     ),
     Mutant(
         "best-not-stored", TUNER,
@@ -215,11 +229,13 @@ def failures(output: str) -> str:
 
 def mutated(mutant: Mutant) -> str:
     """The mutant's file with its lines replaced; LookupError unless the
-    lines occur in it exactly once."""
-    text = (ROOT / mutant.path).read_text()
-    if text.count(mutant.old) != 1:
-        raise LookupError(f"its lines are not in {mutant.path} exactly once")
-    return text.replace(mutant.old, mutant.new)
+    lines occur in it exactly once as whole lines, so that a line is never
+    matched by the tail of a longer one."""
+    text = "\n" + (ROOT / mutant.path).read_text()
+    old = "\n" + mutant.old
+    if text.count(old) != 1:
+        raise LookupError(f"its lines are not in {mutant.path} exactly once as whole lines")
+    return text.replace(old, "\n" + mutant.new)[1:]
 
 
 def run_mutant(mutant: Mutant, text: str) -> tuple[bool, str]:

@@ -19,7 +19,7 @@ from importlib import import_module
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "baselines": ("run_ga", "run_optimizer", "run_rs"),
+    "baselines": ("run_optimizer", "run_rs"),
     "harness": (
         "BenchCase",
         "CaseResult",

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import random
+from typing import Callable
 
 from .mmo import Individual
 from .space import BINARY, CATEGORICAL, ConfigSpace, Configuration
@@ -97,12 +98,21 @@ def tournament_winner(a: Individual, b: Individual, rng: random.Random) -> Indiv
     return a if rng.random() < 0.5 else b
 
 
+def raw_target_winner(a: Individual, b: Individual, rng: random.Random) -> Individual:
+    """Lower raw target wins; ties flip a coin."""
+    if a.raw.f_t != b.raw.f_t:
+        return a if a.raw.f_t < b.raw.f_t else b
+    return a if rng.random() < 0.5 else b
+
+
 def binary_tournament(
-    pop: list[Individual], rng: random.Random
+    pop: list[Individual],
+    rng: random.Random,
+    winner: Callable[[Individual, Individual, random.Random], Individual] = tournament_winner,
 ) -> tuple[Individual, Individual]:
-    """Pick a mating pair; each parent wins a tournament of two uniform draws."""
+    """Pick a mating pair; each parent is the ``winner`` of two uniform draws."""
     def pick() -> Individual:
-        return tournament_winner(rng.choice(pop), rng.choice(pop), rng)
+        return winner(rng.choice(pop), rng.choice(pop), rng)
 
     return pick(), pick()
 

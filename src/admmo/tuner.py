@@ -11,10 +11,14 @@ with three additions:
   duplicates to the next front instead of deleting them, so good
   duplicates may still survive without drowning the selection.
 
-The pieces every population-based run shares live here too: the seeded
-initial population, the stop rule, the offspring loop and the packaging
-of a finished run, along with the fixed settings every run uses and the
-``OptimizerSpec`` that names which variant a run is.
+Every population-based run goes through the one generation loop of
+:func:`evolve`: the tuner, its ablation variants, the fixed-weight and
+plain multi-objective baselines, and the single-objective GA, which
+keeps the loop but selects on the raw target alone. The pieces of that
+loop live here too: the seeded initial population, the stop rule, the
+offspring loop and the packaging of a finished run, along with the fixed
+settings every run uses and the ``OptimizerSpec`` that names which
+variant a run is.
 """
 
 from __future__ import annotations
@@ -34,6 +38,8 @@ from .nsga2 import (
     crowding_distance,
     fill_by_fronts,
     nondominated_sort,
+    raw_target_winner,
+    tournament_winner,
     uniform_crossover,
 )
 from .oracles import BudgetLedger, MeasurementOracle, measure
@@ -452,20 +458,21 @@ def generations(space: ConfigSpace, ledger: BudgetLedger, params: TunerParams) -
 
 def breed(
     state: TunerState,
-    pick_parents: Callable[[list[Individual], random.Random], tuple[Individual, Individual]],
+    winner: Callable[[Individual, Individual, random.Random], Individual],
     space: ConfigSpace,
     oracle: MeasurementOracle,
     params: TunerParams,
     rng: random.Random,
 ) -> list[Individual]:
     """One generation of offspring: pick a parent pair from the run's
-    population, cross it over, mutate each child, and measure it unless the
-    run's ledger already has it, until a population's worth is admitted."""
+    population by binary tournaments that ``winner`` decides, cross it
+    over, mutate each child, and measure it unless the run's ledger already
+    has it, until a population's worth is admitted."""
     ledger = state.ledger
     offspring: list[Individual] = []
     exhausted = False
     while len(offspring) < params.population_size and not exhausted:
-        parent_x, parent_y = pick_parents(state.population, rng)
+        parent_x, parent_y = binary_tournament(state.population, rng, winner)
         children = uniform_crossover(parent_x.config, parent_y.config, CROSSOVER_RATE, rng)
         for child in children:
             child = boundary_mutation(child, MUTATION_RATE, space, rng)
@@ -517,37 +524,52 @@ def evolve(
     *,
     union_observer=None,
 ) -> TuningRun:
-    """The shared evolutionary loop behind the tuner, its variants and the
-    fixed-weight and plain baselines.
+    """The one generation loop of every population-based run: the tuner,
+    its variants, the fixed-weight and plain baselines, and the GA.
 
     The adaptive kind starts at ``INITIAL_WEIGHT`` and only moves the
     weight when the trigger fires. ``mmo_fixed`` keeps ``spec.fixed_w``
     throughout, and ``pmo`` searches the plain normalized objectives
-    with no weight; both keep every duplicate. The trigger draws come from a dedicated
-    stream so that runs differing only in trigger or duplicate handling
-    share the same initialization and variation randomness for a given
-    seed.
+    with no weight; both keep every duplicate. ``ga`` searches the raw
+    target alone: parents win tournaments on it, and survival keeps the
+    best of the union sorted on it, with no normalization, no
+    nondominated sort, and no weight or p' recorded. The trigger draws
+    come from a dedicated stream so that runs differing only in trigger
+    or duplicate handling share the same initialization and variation
+    randomness for a given seed. ``union_observer(iteration, union)``
+    sees each union that survival sorts into fronts, so a GA run never
+    calls it.
     """
-    if spec.kind not in ("admmo", "mmo_fixed", "pmo"):
-        raise ValueError(f"{spec.kind} does not run the evolutionary loop")
+    if spec.kind == "rs":
+        raise ValueError("rs does not run the generation loop")
     adaptive = spec.kind == "admmo"
+    ga = spec.kind == "ga"
     duplicates_mode = spec.duplicates_mode if adaptive else DUPLICATES_INDISTINCT
+    winner = raw_target_winner if ga else tournament_winner
     rng = random.Random(seed)
     trigger_rng = random.Random(f"trigger:{seed}")
     state = seed_population(space, oracle, params, rng)
-    if spec.kind != "pmo":
-        state.w = INITIAL_WEIGHT if adaptive else spec.fixed_w
-    normalize_union(state.population)
-    _set_objectives(state.population, state.w)
-    # ranks/crowding for the first mating round
-    fronts = nondominated_sort(state.population)
-    for front in fronts:
-        crowding_distance(front)
-    state.record(0, Proportion.of_front(fronts[0], state.population).value)
+    p_prime = None
+    if not ga:
+        if spec.kind != "pmo":
+            state.w = INITIAL_WEIGHT if adaptive else spec.fixed_w
+        normalize_union(state.population)
+        _set_objectives(state.population, state.w)
+        # ranks/crowding for the first mating round
+        fronts = nondominated_sort(state.population)
+        for front in fronts:
+            crowding_distance(front)
+        p_prime = Proportion.of_front(fronts[0], state.population).value
+    state.record(0, p_prime)
     for iteration in generations(space, state.ledger, params):
-        offspring = breed(state, binary_tournament, space, oracle, params, rng)
+        offspring = breed(state, winner, space, oracle, params, rng)
         update_stagnation(state, offspring)
         union = state.population + offspring
+        if ga:
+            union.sort(key=lambda ind: ind.raw.f_t)
+            state.population = union[: params.population_size]
+            state.record(iteration, None)
+            continue
         normalize_union(union)
 
         if adaptive and (

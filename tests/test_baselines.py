@@ -17,7 +17,6 @@ from admmo import (
     PerfSample,
     TunerParams,
     run_admmo,
-    run_ga,
     run_optimizer,
     run_rs,
     synthetic_landscape,
@@ -289,11 +288,34 @@ class TestRandomSearch:
 class TestGa:
     def test_best_is_monotone_and_matches_measurements(self):
         oracle = synthetic_landscape(n_options=10, domain_sizes=2, k=3, seed=26)
-        run = run_ga(oracle.space, oracle, TunerParams(budget=80), seed=7)
+        run = evolve(oracle.space, oracle, TunerParams(budget=80), 7, OptimizerSpec("ga"))
         bests = [rec.best_f_t_raw for rec in run.trajectory]
         assert all(x >= y for x, y in zip(bests, bests[1:]))
         assert run.best_f_t == run.best_by_measurement[-1]
         assert run.measurements_used <= 80
+
+    def test_survivors_are_the_best_raw_targets_of_each_union(self, monkeypatch):
+        # the parents of each generation are the stable truncation, on the raw
+        # target, of the previous generation's parents and offspring
+        generations = []
+        breed = tuner.breed
+
+        def recorded_breed(state, *args):
+            parents = list(state.population)
+            offspring = breed(state, *args)
+            generations.append((parents, offspring))
+            return offspring
+
+        monkeypatch.setattr(tuner, "breed", recorded_breed)
+        oracle = synthetic_landscape(n_options=10, domain_sizes=2, k=3, seed=26)
+        params = TunerParams(budget=80)
+        evolve(oracle.space, oracle, params, 7, OptimizerSpec("ga"))
+        assert len(generations) > 2
+        for (parents, offspring), (survivors, _) in zip(generations, generations[1:]):
+            union = sorted(parents + offspring, key=lambda ind: ind.raw.f_t)
+            expected = union[: params.population_size]
+            assert len(survivors) == len(expected)
+            assert all(s is e for s, e in zip(survivors, expected))
 
     def test_unimodal_single_option_always_solved(self):
         # unimodal with the optimum at the domain boundary, which boundary
@@ -305,7 +327,7 @@ class TestGa:
         }
         table = MeasurementTable(space=space, rows=rows)
         solved = sum(
-            run_ga(space, table, TunerParams(budget=50), seed=s).best_f_t == 0.0
+            evolve(space, table, TunerParams(budget=50), s, OptimizerSpec("ga")).best_f_t == 0.0
             for s in range(100)
         )
         assert solved >= 95
@@ -316,7 +338,7 @@ class TestGa:
         monkeypatch.setattr(tuner, "STALL_ITERATION_CAP", 20)
         oracle = synthetic_landscape(n_options=4, domain_sizes=2, k=1, seed=27)
         params = TunerParams(budget=1000)
-        run = run_ga(oracle.space, oracle, params, seed=8)
+        run = evolve(oracle.space, oracle, params, 8, OptimizerSpec("ga"))
         # only the initial draws can ever be measured
         assert run.measurements_used <= 10
 
@@ -387,12 +409,17 @@ class TestSharedContracts:
             run_admmo(oracle.space, oracle, params, seed=14),
             run_optimizer(OptimizerSpec("mmo_fixed"), oracle.space, oracle, params, seed=14),
             run_optimizer(OptimizerSpec("pmo"), oracle.space, oracle, params, seed=14),
-            run_ga(oracle.space, oracle, params, seed=14),
+            evolve(oracle.space, oracle, params, 14, OptimizerSpec("ga")),
         ]
         prefixes = {run.best_by_measurement[:10] for run in runs}
         assert len(prefixes) == 1
         rs = run_rs(oracle.space, oracle, params, seed=14)
         assert rs.best_by_measurement[0] == runs[0].best_by_measurement[0]
+
+    def test_evolve_rejects_random_search(self):
+        oracle = synthetic_landscape(n_options=8, domain_sizes=2, k=2, seed=34)
+        with pytest.raises(ValueError, match="rs does not run"):
+            evolve(oracle.space, oracle, TunerParams(budget=20), 15, OptimizerSpec("rs"))
 
     def test_dispatch_covers_every_kind(self):
         oracle = synthetic_landscape(n_options=8, domain_sizes=2, k=2, seed=34)

@@ -2,6 +2,7 @@
 
 import math
 import random
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -19,8 +20,7 @@ from admmo import (
     nsga2_survival,
     uniform_crossover,
 )
-from admmo.baselines import _raw_target_tournament
-from admmo.nsga2 import tournament_winner
+from admmo.nsga2 import raw_target_winner, tournament_winner
 from admmo.space import BINARY, CATEGORICAL
 
 from conftest import make_individual, make_meta_individual, meta_unions, mixed_spaces
@@ -187,6 +187,17 @@ class TestBinaryTournament:
         a.rank, a.crowding = 0, 1.0
         assert tournament_winner(a, a, random.Random(0)) is a
 
+    def test_lower_raw_target_wins(self):
+        a, b = make_individual(0, f_t=1.0), make_individual(1, f_t=2.0)
+        for rng_seed in range(5):
+            assert raw_target_winner(a, b, random.Random(rng_seed)) is a
+            assert raw_target_winner(b, a, random.Random(rng_seed)) is a
+
+    def test_raw_target_ties_flip_a_coin(self):
+        a, b = make_individual(0, f_t=1.0), make_individual(1, f_t=1.0)
+        winners = [raw_target_winner(a, b, random.Random(s)) for s in range(20)]
+        assert any(w is a for w in winners) and any(w is b for w in winners)
+
     def test_returns_pair_from_population(self):
         pop = [make_meta_individual(i, i / 10, 1 - i / 10) for i in range(6)]
         for ind in pop:
@@ -240,7 +251,7 @@ class TestDrawEquivalence:
             pop.append(ind)
         for operator, reference in (
             (binary_tournament, indexed_tournament),
-            (_raw_target_tournament, indexed_raw_target_tournament),
+            (partial(binary_tournament, winner=raw_target_winner), indexed_raw_target_tournament),
         ):
             rng, expected_rng = random.Random(seed), random.Random(seed)
             for _ in range(5):
