@@ -3,7 +3,8 @@
 Checks REV out in a detached ``git worktree`` under a temporary
 directory (removed again however the script ends), then runs each
 side's own ``perfbench/run.py`` untraced on one workload, for N pairs
-at one seed and run length, alternating which side runs first. For
+at one seed and run length, alternating which side runs first; each run
+is started by ``bench/record.py``'s ``run_perfbench``. For
 every end-to-end metric of ``BENCHMARK.json`` it prints each side's
 median and quartiles, the pairs this checkout wins (ties count for
 neither; ``better`` gives the direction) and whether a gain may be
@@ -14,7 +15,8 @@ checkout:
     python3 bench/compare.py --base HEAD~1 --workload tune-mix --pairs 10 --seconds 10 --seed 7
 
 It writes the same table as JSON (``--out``, by default
-``compare-<workload>.json``), with the checkout's git provenance. The
+``compare-<workload>.json``), with the checkout's git provenance and
+every run's result, perfbench's ``raw:`` line included as ``raw``. The
 exit code is 0 when every run is correct, 1 when one is not, and 2 when
 REV is not a commit, or when ``perfbench/`` or ``BENCHMARK.json``
 differ between REV and the checkout: a comparison needs the same
@@ -25,14 +27,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import statistics
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
-from record import git_provenance
+from record import git_provenance, run_perfbench
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK_PATHS = ("perfbench", "BENCHMARK.json")
@@ -50,26 +51,6 @@ def benchmark_differences(commit: str) -> list[str]:
     changed = git("diff", "--name-only", commit, "--", *BENCHMARK_PATHS).stdout.split()
     untracked = git("ls-files", "--others", "--exclude-standard", "--", *BENCHMARK_PATHS).stdout.split()
     return sorted(set(changed + untracked))
-
-
-def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced perfbench run of the checkout at ``root``; its last
-    stdout line is the result object."""
-    command = [
-        sys.executable, "perfbench/run.py", "--workload", workload,
-        "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
-    ]
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
-    done = subprocess.run(command, cwd=root, env=env, capture_output=True, text=True)
-    lines = done.stdout.strip().splitlines()
-    try:
-        result = json.loads(lines[-1])
-    except (IndexError, json.JSONDecodeError):
-        result = {"correct": False, "metrics": {}}
-    if done.returncode != 0:
-        result["correct"] = False
-        result["stderr_tail"] = done.stderr.strip().splitlines()[-5:]
-    return result
 
 
 def spread(values: list[float]) -> dict:
@@ -142,7 +123,7 @@ def main(argv: list[str] | None = None) -> int:
                     sides.reverse()
                 results = {}
                 for side, root in sides:
-                    results[side] = run_side(root, args.workload, args.seed, args.seconds)
+                    results[side] = run_perfbench(root, args.workload, args.seed, args.seconds, trace=0)
                     print(f"pair {pair + 1} {side}: correct={results[side]['correct']}", file=sys.stderr)
                     for line in results[side].get("stderr_tail", []):
                         print(f"  {line}", file=sys.stderr)

@@ -1,24 +1,22 @@
 """Record a performance snapshot of this checkout as one JSON file.
 
-Runs ``perfbench/run.py`` on every workload, untraced at each seed and
-traced at the first one, times the tier-1 test suite, and writes every
-metric with each run's ``correct`` flag, the CPU count, the Python version
-and the git head, marked dirty with a digest of the uncommitted diff when
-the tree is not clean. Each untraced run also keeps perfbench's ``raw:``
-line as ``raw``: the unscaled figures and the median calibration slice.
-Every run, traced ones included, is bracketed by 20 of perfbench's
-calibration slices in this process, whose medians before and after it
-are kept as ``host_slice_ms``: the host speed around the run, the only
-one a traced run's per-layer times carry. From the root of a checkout:
+Runs ``perfbench/run.py`` on every workload of ``BENCHMARK.json``,
+untraced at each seed and traced at the first one, times the tier-1 test
+suite, and writes every metric with each run's ``correct`` flag, the CPU
+count, the Python version and the git head, marked dirty with a digest of
+the uncommitted diff when the tree is not clean. Each untraced run also
+keeps perfbench's ``raw:`` line as ``raw``: the unscaled figures and the
+median calibration slice, the host speed perfbench measured during the
+run. From the root of a checkout:
 
     python3 bench/record.py --out snapshot.json
     python3 bench/record.py --out /tmp/bench.json --seconds 1 --seeds 1
 
-The exit code is 0 when every run is correct, every run has its
-``host_slice_ms`` and every untraced run its ``raw`` line, and the tests
-pass, else 1; each failed run's last stderr lines are printed under its
-summary line. Standard library and perfbench's calibration loop only: the
-benchmark runs as a separate command.
+The exit code is 0 when every run is correct, every untraced run has its
+``raw`` line, and the tests pass, else 1; each failed run's last stderr
+lines are printed under its summary line. ``run_perfbench`` is the one
+starter of a perfbench run, which ``bench/compare.py`` uses as well.
+Standard library only: the benchmark runs as a separate command.
 """
 
 from __future__ import annotations
@@ -28,40 +26,38 @@ import hashlib
 import json
 import os
 import platform
-import statistics
 import subprocess
 import sys
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT))
-from perfbench.calibration import slices_ms  # noqa: E402
-
-HOST_SLICES = 20  # calibration slices timed before and after each run
-WORKLOADS = ("tune-walk", "tune-mix", "campaign-table")
 RAW_PREFIX = "raw: "  # perfbench's stderr line of unscaled figures and host speed
 
 
-def run_workload(workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One perfbench run; its last stdout line is the result object."""
+def run_perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One perfbench run of the checkout at ``root``, without the caller's
+    ``PYTHONPATH``. Its last stdout line is the result object; a run whose
+    last line is missing or not JSON, or that exits non-zero, is not
+    correct, and the latter keeps its last stderr lines as ``stderr_tail``.
+    perfbench's ``raw:`` stderr line is kept as ``raw``."""
     command = [
         sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace),
     ]
-    before = statistics.median(slices_ms(HOST_SLICES))
-    done = subprocess.run(command, cwd=ROOT, capture_output=True, text=True)
-    after = statistics.median(slices_ms(HOST_SLICES))
-    lines = done.stdout.strip().splitlines()
-    result = json.loads(lines[-1]) if lines else {"correct": False, "metrics": {}}
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    done = subprocess.run(command, cwd=root, env=env, capture_output=True, text=True)
+    try:
+        result = json.loads(done.stdout.strip().splitlines()[-1])
+    except (IndexError, json.JSONDecodeError):
+        result = {"correct": False, "metrics": {}}
     if done.returncode != 0:
         result["correct"] = False
         result["stderr_tail"] = done.stderr.strip().splitlines()[-5:]
     for line in done.stderr.splitlines():
         if line.startswith(RAW_PREFIX):
             result["raw"] = line[len(RAW_PREFIX):]
-    result["host_slice_ms"] = [round(before, 4), round(after, 4)]
-    return {"workload": workload, "seed": seed, "trace": trace, **result}
+    return result
 
 
 def time_tier1() -> dict:
@@ -104,16 +100,17 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seeds", type=int, nargs="+", default=[2, 3, 4])
     args = parser.parse_args(argv)
 
-    runs = []
-    for seed in args.seeds:
-        for workload in WORKLOADS:
-            runs.append(run_workload(workload, seed, args.seconds, trace=0))
-    for workload in WORKLOADS:
-        runs.append(run_workload(workload, args.seeds[0], args.seconds, trace=1))
+    workloads = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+    plan = [(seed, 0) for seed in args.seeds] + [(args.seeds[0], 1)]
+    runs = [
+        {"workload": workload, "seed": seed, "trace": trace,
+         **run_perfbench(ROOT, workload, seed, args.seconds, trace)}
+        for seed, trace in plan
+        for workload in workloads
+    ]
     for run in runs:
         print(f"{run['workload']} seed {run['seed']} trace {run['trace']}: "
-              f"correct={run['correct']} host_slice_ms: {run['host_slice_ms']} "
-              f"raw: {run.get('raw')}", file=sys.stderr)
+              f"correct={run['correct']} raw: {run.get('raw')}", file=sys.stderr)
         for line in run.get("stderr_tail", []):
             print(f"  {line}", file=sys.stderr)
     tier1 = time_tier1()
@@ -129,14 +126,8 @@ def main(argv: list[str] | None = None) -> int:
         "runs": runs,
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n")
-    ok = (
-        all(
-            run["correct"] and "host_slice_ms" in run and (run["trace"] or "raw" in run)
-            for run in runs
-        )
-        and tier1["returncode"] == 0
-    )
-    return 0 if ok else 1
+    ok = all(run["correct"] and (run["trace"] or "raw" in run) for run in runs)
+    return 0 if ok and tier1["returncode"] == 0 else 1
 
 
 if __name__ == "__main__":

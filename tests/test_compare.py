@@ -1,9 +1,11 @@
-"""The claim rule of bench/compare.py: wins per pair, ties, direction and spread."""
+"""The claim rule of bench/compare.py (wins per pair, ties, direction and
+spread) and the perfbench runner it shares with bench/record.py."""
 
 from __future__ import annotations
 
 import importlib
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -15,7 +17,8 @@ LOWER = {"name": "run_ms.p50", "unit": "ms", "better": "lower"}
 
 @pytest.fixture
 def compare(monkeypatch):
-    # bench/record.py puts the repository root on sys.path; undo that too
+    # compare.py imports record.py by its bare name, so bench/ goes on
+    # sys.path for the import; monkeypatch puts the old list back
     monkeypatch.setattr(sys, "path", [str(BENCH), *sys.path])
     return importlib.import_module("compare")
 
@@ -51,3 +54,53 @@ def test_claim_needs_nine_of_ten_wins_and_a_gap_beyond_the_base_spread(compare):
 def test_claim_needs_ten_pairs(compare):
     base = [100.0 + i for i in range(9)]
     assert not compare.compare_metric(HIGHER, base, [b + 50.0 for b in base])["claim_holds"]
+
+
+def fake_perfbench(root, body):
+    """``root`` as a checkout whose ``perfbench/run.py`` is ``body``."""
+    (root / "perfbench").mkdir()
+    (root / "perfbench" / "run.py").write_text(textwrap.dedent(body))
+    return root
+
+
+@pytest.mark.parametrize("stdout", ['{"correct": true, "metrics": {}}\nnot json', ""])
+def test_a_missing_or_malformed_last_line_is_an_incorrect_run(compare, tmp_path, stdout):
+    root = fake_perfbench(tmp_path, f"print({stdout!r})")
+    result = compare.run_perfbench(root, "tune-mix", 1, 1.0, 0)
+    assert result == {"correct": False, "metrics": {}}
+
+
+def test_a_failed_run_keeps_its_stderr_tail(compare, tmp_path):
+    root = fake_perfbench(tmp_path, """\
+        import sys
+        print('{"correct": true, "metrics": {}}')
+        print("\\n".join(f"line {i}" for i in range(8)), file=sys.stderr)
+        sys.exit(3)
+    """)
+    result = compare.run_perfbench(root, "tune-mix", 1, 1.0, 0)
+    assert result["correct"] is False
+    assert result["stderr_tail"] == [f"line {i}" for i in range(3, 8)]
+
+
+def test_the_raw_line_is_kept(compare, tmp_path):
+    root = fake_perfbench(tmp_path, """\
+        import sys
+        print("raw: measurements_per_s=1.5 slice_ms=0.5", file=sys.stderr)
+        print('{"correct": true, "metrics": {}}')
+    """)
+    result = compare.run_perfbench(root, "tune-mix", 1, 1.0, 1)
+    assert result == {"correct": True, "metrics": {}, "raw": "measurements_per_s=1.5 slice_ms=0.5"}
+
+
+def test_the_callers_pythonpath_does_not_reach_the_run(compare, tmp_path, monkeypatch):
+    monkeypatch.setenv("PYTHONPATH", str(tmp_path / "elsewhere"))
+    root = fake_perfbench(tmp_path, """\
+        import json, os, sys
+        print(json.dumps({"correct": True, "metrics": {}, "argv": sys.argv[1:],
+                          "pythonpath": os.environ.get("PYTHONPATH")}))
+    """)
+    result = compare.run_perfbench(root, "campaign-table", 4, 2.5, 1)
+    assert result["pythonpath"] is None
+    assert result["argv"] == [
+        "--workload", "campaign-table", "--seed", "4", "--seconds", "2.5", "--trace", "1"
+    ]
