@@ -51,6 +51,7 @@ class Mutant:
 TUNER = "src/admmo/tuner.py"
 ORACLES = "src/admmo/oracles.py"
 SPACE = "src/admmo/space.py"
+HARNESS = "src/admmo/harness.py"
 MUTANTS = (
     Mutant(
         "M3", TUNER,
@@ -174,10 +175,17 @@ MUTANTS = (
         "weight_thresholds returns its thresholds in point order, so p' is not monotone in w",
     ),
     Mutant(
-        "pool-order", "src/admmo/harness.py",
-        "                outcomes = pool.map(_one_run, tasks) if pool else map(_one_run, tasks)\n",
-        "                outcomes = pool.map(_one_run, tasks[::-1]) if pool else map(_one_run, tasks)\n",
-        "a pool runs the tasks in reverse, so jobs=2 files each run under another's id",
+        "pool-order", HARNESS,
+        "                    theirs = pool.map(_one_run, pooled, chunksize=-(-len(pooled) // workers))\n",
+        "                    theirs = pool.map(_one_run, pooled[::-1], chunksize=-(-len(pooled) // workers))\n",
+        "the pool runs the workers' share in reverse, so jobs=2 files each of those runs under another's id",
+    ),
+    Mutant(
+        "run-failure-raised", HARNESS,
+        "        return _RunFailure(f\"{type(exc).__name__}: {exc}\")\n",
+        "        raise _RunFailure(f\"{type(exc).__name__}: {exc}\")\n",
+        "a run's failure is raised again, so a worker's chunk fails at its first task"
+        " and the parent's share fails before any run is filed",
     ),
     # the NK landscape's rolling table index
     Mutant(

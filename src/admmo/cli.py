@@ -427,7 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--seed", type=int, help="base seed override")
     bench.add_argument("--budget", type=int, help="run a single budget instead of the ladder")
     bench.add_argument("--p", type=float, help="target nondominated proportion override")
-    bench.add_argument("--jobs", type=int, default=1, help="parallel runs (default 1)")
+    bench.add_argument(
+        "--jobs", type=int, default=1, help="processes running runs, this one included (default 1)"
+    )
     bench.add_argument("--force", action="store_true", help="replace an existing campaign")
     bench.add_argument("--out", help="output directory override")
     bench.set_defaults(func=cmd_bench)

@@ -10,6 +10,9 @@ fixed number of seeded repeats, then summarizes:
   final mean best, divided by how many the reference optimizer needed to
   match that value (None when it never does within budget);
 * pairwise rank-sum p-values, effect sizes, and their significance band.
+
+``run_campaign(..., jobs=N)`` runs each case on N processes: the calling
+process runs every N-th run and a pool of N-1 workers the rest.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import sys
 import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .baselines import run_optimizer
 from .cli import run_id
@@ -77,12 +80,26 @@ class _RunFailure(Exception):
     its pickle; text does, so ``jobs=1`` and ``jobs=N`` report alike."""
 
 
-def _one_run(args) -> TuningRun:
+def _one_run(args) -> TuningRun | _RunFailure:
+    """The task's run, or its failure as a value: a pool hands a chunk back
+    whole or not at all, so a raise would hide the chunk's other runs, and
+    with them which of the case's runs failed first."""
     spec, params, seed = args
     try:
         return run_optimizer(spec, _case.space, _case.oracle, params, seed)
     except Exception as exc:  # noqa: BLE001 - run_campaign reports it with the run's id
-        raise _RunFailure(f"{type(exc).__name__}: {exc}")
+        return _RunFailure(f"{type(exc).__name__}: {exc}")
+
+
+def _in_task_order(mine: Iterator, theirs: Iterator, jobs: int, count: int) -> Iterator[TuningRun]:
+    """The ``count`` runs in task order: every ``jobs``-th from ``mine``,
+    starting with the first, and the rest from ``theirs``. A run's failure is
+    raised at that run's place."""
+    for i in range(count):
+        outcome = next(theirs) if i % jobs else next(mine)
+        if isinstance(outcome, _RunFailure):
+            raise outcome
+        yield outcome
 
 
 def run_campaign(
@@ -96,11 +113,14 @@ def run_campaign(
 ) -> list[CaseResult]:
     """Execute the full grid of runs; repeat r uses seed base_seed + r.
 
-    Identical seeds across optimizers align initial populations. Each case
-    gets its own pool of ``jobs`` workers (none at ``jobs=1``), and each
-    worker receives the case once. A case with a failing run is reported
-    with that run's id and error, its other runs are dropped, and the
-    campaign goes on.
+    Identical seeds across optimizers align initial populations. ``jobs``
+    processes run each case, this one among them: it runs every
+    ``jobs``-th run itself, from the first, and a pool of the case's own,
+    of at most ``jobs - 1`` workers, runs the rest, each worker its share
+    in one chunk. Each worker receives the case once; no pool starts when
+    there is no run for it. A case with a failing run is reported with the
+    id and error of its first failing run, its other runs are dropped, and
+    the campaign goes on.
     """
     if repeats < 1:
         raise ValueError("repeats must be positive")
@@ -116,13 +136,19 @@ def run_campaign(
             for budget in budgets:
                 run_params = replace(template, budget=int(budget))
                 tasks.extend((spec, run_params, base_seed + rep) for rep in range(repeats))
+        pooled = [task for i, task in enumerate(tasks) if i % jobs]
+        workers = min(jobs - 1, len(pooled))
         task = None
         _set_case(case)
         try:
             with sys.modules[__name__].ProcessPoolExecutor(
-                max_workers=jobs, initializer=_set_case, initargs=(case,)
-            ) if jobs > 1 else nullcontext() as pool:
-                outcomes = pool.map(_one_run, tasks) if pool else map(_one_run, tasks)
+                max_workers=workers, initializer=_set_case, initargs=(case,)
+            ) if workers else nullcontext() as pool:
+                mine, theirs = map(_one_run, tasks[::jobs]), iter(())
+                if pool:
+                    theirs = pool.map(_one_run, pooled, chunksize=-(-len(pooled) // workers))
+                    mine = iter(list(mine))  # this process's share, while the workers run theirs
+                outcomes = _in_task_order(mine, theirs, jobs, len(tasks))
                 # outcomes come in task order, so a failure is the current task's
                 for task in tasks:
                     spec, run_params, _ = task

@@ -146,7 +146,7 @@ class TestCampaign:
         par = run_campaign(cases, optimizers, budgets=[20], repeats=2, base_seed=3, jobs=2)
         assert campaign_summary(seq) == campaign_summary(par)
 
-    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
     def test_each_run_sits_at_its_repeat(self, jobs):
         # the CLI names the run at runs[label][budget][rep] by rep, so that
         # position must hold the run at seed base_seed + rep
@@ -192,6 +192,53 @@ class TestCampaign:
         assert errors[0] == errors[1]
         assert errors[0] == "run down__rs__b15__r0: OracleDown: bench-host answered 503"
 
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_the_failing_run_is_named_in_either_share(self, monkeypatch, jobs):
+        # at jobs=2 run r3 is a worker's, at jobs=3 this process's; a worker
+        # hands its share back in one chunk, so only a failure returned as a
+        # value keeps r1 and r5 apart from r3
+        def failing_at_r3(spec, space, oracle, params, seed):
+            if seed == 20 + 3:
+                raise RuntimeError("no answer at r3")
+            return run_optimizer(spec, space, oracle, params, seed)
+
+        good = self.make_cases()[0]
+        monkeypatch.setattr(harness, "run_optimizer", failing_at_r3)
+        case = BenchCase("c", good.space, good.oracle)
+        results = run_campaign([case], [OptimizerSpec("rs")], [15], 6, base_seed=20, jobs=jobs)
+        assert results[0].error == "run c__rs__b15__r3: RuntimeError: no answer at r3"
+        assert results[0].runs == {}
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_a_pool_is_only_as_large_as_the_workers_share(self, monkeypatch, jobs):
+        started = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            """Records each pool's worker count and the tasks of its ``map``."""
+
+            def __init__(self, max_workers, **kwargs):
+                started.append({"workers": max_workers})
+                super().__init__(max_workers, **kwargs)
+
+            def map(self, fn, tasks, **kwargs):
+                tasks = list(tasks)
+                started[-1].update(seeds=[task[2] for task in tasks], chunksize=kwargs["chunksize"])
+                return super().map(fn, tasks, **kwargs)
+
+        case = self.make_cases()[0]
+        rs = [OptimizerSpec("rs")]
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        for repeats in (1, 2, 6):
+            expected = run_campaign([case], rs, [15], repeats, base_seed=0)[0].runs
+            assert run_campaign([case], rs, [15], repeats, 0, jobs=jobs)[0].runs == expected
+        # one task starts no pool; two start one worker for the second; six
+        # give every jobs-th task, from the first, to this process, and the
+        # rest in one chunk per worker
+        assert started == [
+            {"workers": 1, "seeds": [1], "chunksize": 1},
+            {"workers": jobs - 1, "seeds": [r for r in range(6) if r % jobs], "chunksize": 6 // jobs},
+        ]
+
     def test_tasks_do_not_carry_the_case(self, monkeypatch):
         sizes = []
 
@@ -209,7 +256,7 @@ class TestCampaign:
         optimizers = [OptimizerSpec("rs"), OptimizerSpec("admmo")]
         results = run_campaign([case], optimizers, budgets=[20], repeats=2, base_seed=5, jobs=2)
         assert results[0].error is None
-        assert len(sizes) == 4
+        assert len(sizes) == 2  # the workers' share: every second of the 4 tasks
         assert max(sizes) < 1024
         assert harness._case is None
 
