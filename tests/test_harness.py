@@ -195,8 +195,8 @@ class TestCampaign:
     @pytest.mark.parametrize("jobs", [1, 2, 3])
     def test_the_failing_run_is_named_in_either_share(self, monkeypatch, jobs):
         # at jobs=2 run r3 is a worker's, at jobs=3 this process's; a worker
-        # hands its share back in one chunk, so only a failure returned as a
-        # value keeps r1 and r5 apart from r3
+        # hands its share back in one chunk, so a failure raised there would
+        # be reported at the chunk's first run, r1
         def failing_at_r3(spec, space, oracle, params, seed):
             if seed == 20 + 3:
                 raise RuntimeError("no answer at r3")
