@@ -176,9 +176,9 @@ MUTANTS = (
     ),
     Mutant(
         "pool-order", HARNESS,
-        "                    theirs = pool.map(_one_run, pooled, chunksize=-(-len(pooled) // workers))\n",
-        "                    theirs = pool.map(_one_run, pooled[::-1], chunksize=-(-len(pooled) // workers))\n",
-        "the pool runs the workers' share in reverse, so jobs=2 files each of those runs under another's id",
+        "                theirs = pool.map(_run_share, shares[1:]) if pool else ()\n",
+        "                theirs = pool.map(_run_share, shares[:0:-1]) if pool else ()\n",
+        "the workers' shares come back in reverse, so jobs=3 files each of their runs under another's id",
     ),
     Mutant(
         "run-failure-raised", HARNESS,

@@ -11,8 +11,9 @@ fixed number of seeded repeats, then summarizes:
   match that value (None when it never does within budget);
 * pairwise rank-sum p-values, effect sizes, and their significance band.
 
-``run_campaign(..., jobs=N)`` runs each case on N processes: the calling
-process runs every N-th run and a pool of N-1 workers the rest.
+``run_campaign(..., jobs=N)`` runs each case on N processes: the runs are
+dealt round-robin into N shares, the calling process runs the first, and
+a pool of up to N-1 workers the others, one share each.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import sys
 import warnings
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .baselines import run_optimizer
 from .cli import run_id
@@ -81,9 +82,9 @@ class _RunFailure(Exception):
 
 
 def _one_run(args) -> TuningRun | _RunFailure:
-    """The task's run, or its failure as a value: a pool hands a chunk back
-    whole or not at all, so a raise would hide the chunk's other runs, and
-    with them which of the case's runs failed first."""
+    """The task's run, or its failure as a value: a worker hands its share
+    back whole or not at all, so a raise would hide the share's other runs,
+    and with them which of the case's runs failed first."""
     spec, params, seed = args
     try:
         return run_optimizer(spec, _case.space, _case.oracle, params, seed)
@@ -91,15 +92,9 @@ def _one_run(args) -> TuningRun | _RunFailure:
         return _RunFailure(f"{type(exc).__name__}: {exc}")
 
 
-def _in_task_order(mine: Iterator, theirs: Iterator, jobs: int, count: int) -> Iterator[TuningRun]:
-    """The ``count`` runs in task order: every ``jobs``-th from ``mine``,
-    starting with the first, and the rest from ``theirs``. A run's failure is
-    raised at that run's place."""
-    for i in range(count):
-        outcome = next(theirs) if i % jobs else next(mine)
-        if isinstance(outcome, _RunFailure):
-            raise outcome
-        yield outcome
+def _run_share(share: list) -> list:
+    """The outcomes of a process's share of a case's tasks, in share order."""
+    return [_one_run(task) for task in share]
 
 
 def run_campaign(
@@ -114,13 +109,13 @@ def run_campaign(
     """Execute the full grid of runs; repeat r uses seed base_seed + r.
 
     Identical seeds across optimizers align initial populations. ``jobs``
-    processes run each case, this one among them: it runs every
-    ``jobs``-th run itself, from the first, and a pool of the case's own,
-    of at most ``jobs - 1`` workers, runs the rest, each worker its share
-    in one chunk. Each worker receives the case once; no pool starts when
-    there is no run for it. A case with a failing run is reported with the
-    id and error of its first failing run, its other runs are dropped, and
-    the campaign goes on.
+    processes run each case, this one among them: process w runs every
+    ``jobs``-th run from run w, this one being process 0, and a pool of
+    the case's own starts one worker for each other process that has a
+    run, so a case of one run starts none. Each worker receives the case
+    once and a share as one task. A case with a failing run is reported
+    with the id and error of its first failing run, its other runs are
+    dropped, and the campaign goes on.
     """
     if repeats < 1:
         raise ValueError("repeats must be positive")
@@ -136,23 +131,23 @@ def run_campaign(
             for budget in budgets:
                 run_params = replace(template, budget=int(budget))
                 tasks.extend((spec, run_params, base_seed + rep) for rep in range(repeats))
-        pooled = [task for i, task in enumerate(tasks) if i % jobs]
-        workers = min(jobs - 1, len(pooled))
+        # process w runs every jobs-th task from task w; empty shares are
+        # dropped, so the pool starts one worker per share beside this one's
+        shares = [share for share in (tasks[w::jobs] for w in range(jobs)) if share]
         task = None
         _set_case(case)
         try:
             with sys.modules[__name__].ProcessPoolExecutor(
-                max_workers=workers, initializer=_set_case, initargs=(case,)
-            ) if workers else nullcontext() as pool:
-                mine, theirs = map(_one_run, tasks[::jobs]), iter(())
-                if pool:
-                    theirs = pool.map(_one_run, pooled, chunksize=-(-len(pooled) // workers))
-                    mine = iter(list(mine))  # this process's share, while the workers run theirs
-                outcomes = _in_task_order(mine, theirs, jobs, len(tasks))
-                # outcomes come in task order, so a failure is the current task's
-                for task in tasks:
-                    spec, run_params, _ = task
-                    result.runs[spec.label][run_params.budget].append(next(outcomes))
+                max_workers=len(shares) - 1, initializer=_set_case, initargs=(case,)
+            ) if len(shares) > 1 else nullcontext() as pool:
+                theirs = pool.map(_run_share, shares[1:]) if pool else ()
+                outcomes = [_run_share(shares[0]), *theirs]  # this process's share first
+            for i, task in enumerate(tasks):
+                outcome = outcomes[i % jobs][i // jobs]
+                if isinstance(outcome, _RunFailure):
+                    raise outcome  # tasks are filed in order, so this is the first failure
+                spec, run_params, _ = task
+                result.runs[spec.label][run_params.budget].append(outcome)
         except Exception as exc:  # noqa: BLE001 - per-case failures must not kill the campaign
             rid = task and run_id(case.case_id, task[0].label, task[1].budget, task[2] - base_seed)
             text = str(exc) if isinstance(exc, _RunFailure) else f"{type(exc).__name__}: {exc}"

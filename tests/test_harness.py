@@ -143,8 +143,9 @@ class TestCampaign:
         cases = self.make_cases()
         optimizers = [OptimizerSpec("rs"), OptimizerSpec("ga")]
         seq = run_campaign(cases, optimizers, budgets=[20], repeats=2, base_seed=3, jobs=1)
-        par = run_campaign(cases, optimizers, budgets=[20], repeats=2, base_seed=3, jobs=2)
-        assert campaign_summary(seq) == campaign_summary(par)
+        for jobs in (2, 3):  # one worker beside this process, then two
+            par = run_campaign(cases, optimizers, budgets=[20], repeats=2, base_seed=3, jobs=jobs)
+            assert campaign_summary(seq) == campaign_summary(par)
 
     @pytest.mark.parametrize("jobs", [1, 2, 3])
     def test_each_run_sits_at_its_repeat(self, jobs):
@@ -194,9 +195,9 @@ class TestCampaign:
 
     @pytest.mark.parametrize("jobs", [1, 2, 3])
     def test_the_failing_run_is_named_in_either_share(self, monkeypatch, jobs):
-        # at jobs=2 run r3 is a worker's, at jobs=3 this process's; a worker
-        # hands its share back in one chunk, so a failure raised there would
-        # be reported at the chunk's first run, r1
+        # at jobs=2 run r3 is a worker's, at jobs=3 this process's; a share's
+        # outcomes come back whole, so a failure raised while running it
+        # would surface before any run is filed, naming none
         def failing_at_r3(spec, space, oracle, params, seed):
             if seed == 20 + 3:
                 raise RuntimeError("no answer at r3")
@@ -209,21 +210,24 @@ class TestCampaign:
         assert results[0].error == "run c__rs__b15__r3: RuntimeError: no answer at r3"
         assert results[0].runs == {}
 
-    @pytest.mark.parametrize("jobs", [2, 3])
-    def test_a_pool_is_only_as_large_as_the_workers_share(self, monkeypatch, jobs):
+    @pytest.mark.parametrize("jobs", [2, 3, 4])
+    def test_a_pool_starts_one_worker_per_share(self, monkeypatch, jobs):
         started = []
 
         class RecordingPool(ProcessPoolExecutor):
-            """Records each pool's worker count and the tasks of its ``map``."""
+            """Records each pool's worker count and the shares of its ``map``."""
 
             def __init__(self, max_workers, **kwargs):
                 started.append({"workers": max_workers})
                 super().__init__(max_workers, **kwargs)
 
-            def map(self, fn, tasks, **kwargs):
-                tasks = list(tasks)
-                started[-1].update(seeds=[task[2] for task in tasks], chunksize=kwargs["chunksize"])
-                return super().map(fn, tasks, **kwargs)
+            def map(self, fn, shares, **kwargs):
+                shares = list(shares)
+                started[-1].update(
+                    seeds=[[task[2] for task in share] for share in shares],
+                    chunksize=kwargs.get("chunksize", 1),
+                )
+                return super().map(fn, shares, **kwargs)
 
         case = self.make_cases()[0]
         rs = [OptimizerSpec("rs")]
@@ -231,24 +235,28 @@ class TestCampaign:
         for repeats in (1, 2, 6):
             expected = run_campaign([case], rs, [15], repeats, base_seed=0)[0].runs
             assert run_campaign([case], rs, [15], repeats, 0, jobs=jobs)[0].runs == expected
-        # one task starts no pool; two start one worker for the second; six
-        # give every jobs-th task, from the first, to this process, and the
-        # rest in one chunk per worker
+        # one task starts no pool and two start one worker, for the second;
+        # of six, process w runs every jobs-th from task w, this one first,
+        # and each other process is a worker handed its share as one task
         assert started == [
-            {"workers": 1, "seeds": [1], "chunksize": 1},
-            {"workers": jobs - 1, "seeds": [r for r in range(6) if r % jobs], "chunksize": 6 // jobs},
+            {"workers": 1, "seeds": [[1]], "chunksize": 1},
+            {
+                "workers": jobs - 1,
+                "seeds": [list(range(w, 6, jobs)) for w in range(1, jobs)],
+                "chunksize": 1,
+            },
         ]
 
     def test_tasks_do_not_carry_the_case(self, monkeypatch):
         sizes = []
 
         class TaskSizePool(ProcessPoolExecutor):
-            """Records the pickled size of every task handed to ``map``."""
+            """Records the pickled size of every task in the shares handed to ``map``."""
 
-            def map(self, fn, tasks, **kwargs):
-                tasks = list(tasks)
-                sizes.extend(len(pickle.dumps(task)) for task in tasks)
-                return super().map(fn, tasks, **kwargs)
+            def map(self, fn, shares, **kwargs):
+                shares = list(shares)
+                sizes.extend(len(pickle.dumps(task)) for share in shares for task in share)
+                return super().map(fn, shares, **kwargs)
 
         case = table_case()
         assert len(case.oracle) == 4096
@@ -256,7 +264,7 @@ class TestCampaign:
         optimizers = [OptimizerSpec("rs"), OptimizerSpec("admmo")]
         results = run_campaign([case], optimizers, budgets=[20], repeats=2, base_seed=5, jobs=2)
         assert results[0].error is None
-        assert len(sizes) == 2  # the workers' share: every second of the 4 tasks
+        assert len(sizes) == 2  # the worker's share: every second of the 4 tasks
         assert max(sizes) < 1024
         assert harness._case is None
 
