@@ -182,10 +182,10 @@ MUTANTS = (
     ),
     Mutant(
         "run-failure-raised", HARNESS,
-        "        return _RunFailure(f\"{type(exc).__name__}: {exc}\")\n",
-        "        raise _RunFailure(f\"{type(exc).__name__}: {exc}\")\n",
-        "a run's failure is raised again, so a worker's chunk fails at its first task"
-        " and the parent's share fails before any run is filed",
+        "        return f\"{type(exc).__name__}: {exc}\"\n",
+        "        raise RuntimeError(f\"{type(exc).__name__}: {exc}\")\n",
+        "a run's failure is raised, not returned, so its share fails before any run"
+        " is filed and the case's error names no run",
     ),
     # the NK landscape's rolling table index
     Mutant(

@@ -58,8 +58,8 @@ for case in results:
 
     print("\npair                      budget   p-value   A12    band")
     for c in pairwise_comparisons(case):
-        print(f"{c.label_a:>10s} vs {c.label_b:10s}  {c.budget:4d}   "
-              f"{c.p_value:.4f}  {c.a12:.3f}  {c.effect}")
+        print(f"{c['pair']:24s}  {c['budget']:4d}   "
+              f"{c['p_value']:.4f}  {c['a12']:.3f}  {c['effect']}")
 
 # %% Speedup: measurements a counterpart needed to reach its own final
 # mean best, over the measurements the adaptive tuner needed to match

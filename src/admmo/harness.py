@@ -75,21 +75,17 @@ def _set_case(case: BenchCase | None) -> None:
     _case = case
 
 
-class _RunFailure(Exception):
-    """A run's exception as ``"<Type>: <message>"`` text. A pool hands a
-    worker's exception back pickled, and not every exception rebuilds from
-    its pickle; text does, so ``jobs=1`` and ``jobs=N`` report alike."""
-
-
-def _one_run(args) -> TuningRun | _RunFailure:
-    """The task's run, or its failure as a value: a worker hands its share
-    back whole or not at all, so a raise would hide the share's other runs,
-    and with them which of the case's runs failed first."""
+def _one_run(args) -> TuningRun | str:
+    """The task's run, or its exception as the text ``"<Type>: <message>"``.
+    A worker hands its share back whole or not at all, so a raise would
+    hide the share's other runs, and with them which of the case's runs
+    failed first. Text, unlike some exceptions, survives the pool's pickle,
+    so ``jobs=1`` and ``jobs=N`` report alike."""
     spec, params, seed = args
     try:
         return run_optimizer(spec, _case.space, _case.oracle, params, seed)
     except Exception as exc:  # noqa: BLE001 - run_campaign reports it with the run's id
-        return _RunFailure(f"{type(exc).__name__}: {exc}")
+        return f"{type(exc).__name__}: {exc}"
 
 
 def _run_share(share: list) -> list:
@@ -115,26 +111,28 @@ def run_campaign(
     run, so a case of one run starts none. Each worker receives the case
     once and a share as one task. A case with a failing run is reported
     with the id and error of its first failing run, its other runs are
-    dropped, and the campaign goes on.
+    dropped, and the campaign goes on; a case whose pool breaks is
+    reported with the pool's error alone, as no run of it is known.
     """
     if repeats < 1:
         raise ValueError("repeats must be positive")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     template = params or TunerParams(budget=max(budgets))
+    tasks = [
+        (spec, replace(template, budget=int(budget)), base_seed + rep)
+        for spec in optimizers
+        for budget in budgets
+        for rep in range(repeats)
+    ]
+    # process w runs every jobs-th task from task w; empty shares are
+    # dropped, so the pool starts one worker per share beside this one's
+    shares = [share for share in (tasks[w::jobs] for w in range(jobs)) if share]
     results = []
     for case in cases:
-        result = CaseResult(case.case_id, tuple(budgets), repeats)
-        tasks = []
-        for spec in optimizers:
-            result.runs[spec.label] = {int(b): [] for b in budgets}
-            for budget in budgets:
-                run_params = replace(template, budget=int(budget))
-                tasks.extend((spec, run_params, base_seed + rep) for rep in range(repeats))
-        # process w runs every jobs-th task from task w; empty shares are
-        # dropped, so the pool starts one worker per share beside this one's
-        shares = [share for share in (tasks[w::jobs] for w in range(jobs)) if share]
-        task = None
+        runs = {spec.label: {int(b): [] for b in budgets} for spec in optimizers}
+        result = CaseResult(case.case_id, tuple(budgets), repeats, runs)
+        results.append(result)
         _set_case(case)
         try:
             with sys.modules[__name__].ProcessPoolExecutor(
@@ -142,20 +140,20 @@ def run_campaign(
             ) if len(shares) > 1 else nullcontext() as pool:
                 theirs = pool.map(_run_share, shares[1:]) if pool else ()
                 outcomes = [_run_share(shares[0]), *theirs]  # this process's share first
-            for i, task in enumerate(tasks):
-                outcome = outcomes[i % jobs][i // jobs]
-                if isinstance(outcome, _RunFailure):
-                    raise outcome  # tasks are filed in order, so this is the first failure
-                spec, run_params, _ = task
-                result.runs[spec.label][run_params.budget].append(outcome)
-        except Exception as exc:  # noqa: BLE001 - per-case failures must not kill the campaign
-            rid = task and run_id(case.case_id, task[0].label, task[1].budget, task[2] - base_seed)
-            text = str(exc) if isinstance(exc, _RunFailure) else f"{type(exc).__name__}: {exc}"
-            result.error = f"run {rid}: {text}"
+        except Exception as exc:  # noqa: BLE001 - a broken pool fails only its case
+            result.error = f"{type(exc).__name__}: {exc}"
             result.runs = {}
+            continue
         finally:
             _set_case(None)  # the parent must not keep the last case's table alive
-        results.append(result)
+        for i, (spec, run_params, seed) in enumerate(tasks):
+            outcome = outcomes[i % jobs][i // jobs]
+            if isinstance(outcome, str):  # tasks are filed in order, so this is the first failure
+                rid = run_id(case.case_id, spec.label, run_params.budget, seed - base_seed)
+                result.error = f"run {rid}: {outcome}"
+                result.runs = {}
+                break
+            result.runs[spec.label][run_params.budget].append(outcome)
     return results
 
 
@@ -228,20 +226,11 @@ def speedup(
     return b_star / m_star
 
 
-@dataclass(frozen=True)
-class PairwiseComparison:
-    label_a: str
-    label_b: str
-    budget: int
-    p_value: float
-    a12: float
-    effect: str
-
-
-def pairwise_comparisons(case: CaseResult) -> list[PairwiseComparison]:
-    """Rank-sum p, effect size, and band for every optimizer pair and budget."""
+def pairwise_comparisons(case: CaseResult) -> list[dict]:
+    """Rank-sum p, effect size, and band for every optimizer pair and
+    budget, each as the entry ``campaign_summary`` lists."""
     labels = case.labels
-    out: list[PairwiseComparison] = []
+    out: list[dict] = []
     for i, la in enumerate(labels):
         for lb in labels[i + 1 :]:
             for budget in case.budgets:
@@ -250,14 +239,13 @@ def pairwise_comparisons(case: CaseResult) -> list[PairwiseComparison]:
                 p = wilcoxon_rank_sum(sa, sb)
                 effect_size = a12(sa, sb)
                 out.append(
-                    PairwiseComparison(
-                        label_a=la,
-                        label_b=lb,
-                        budget=budget,
-                        p_value=p,
-                        a12=effect_size,
-                        effect=classify_effect(effect_size, p),
-                    )
+                    {
+                        "pair": f"{la}__vs__{lb}",
+                        "budget": budget,
+                        "p_value": p,
+                        "a12": effect_size,
+                        "effect": classify_effect(effect_size, p),
+                    }
                 )
     return out
 
@@ -284,16 +272,7 @@ def campaign_summary(results: Sequence[CaseResult]) -> dict:
                 }
                 for label, per_budget in case.runs.items()
             },
-            "comparisons": [
-                {
-                    "pair": f"{c.label_a}__vs__{c.label_b}",
-                    "budget": c.budget,
-                    "p_value": c.p_value,
-                    "a12": c.a12,
-                    "effect": c.effect,
-                }
-                for c in pairwise_comparisons(case)
-            ],
+            "comparisons": pairwise_comparisons(case),
         }
         if SPEEDUP_REFERENCE in case.runs:
             top_budget = max(case.budgets)

@@ -170,6 +170,9 @@ def _parse_oracle(doc: dict, key: str, base_dir: Path, space: ConfigSpace | None
 
 def _parse_case(doc: dict, at: str, base_dir: Path, default_id: str) -> BenchCase:
     """The case in ``doc``, whose keys are named after the prefix ``at``."""
+    case_id = str(doc.get("id", default_id))
+    if "/" in case_id or "\\" in case_id:  # a run id is a file name in trajectories/
+        raise RunSpecError(f"'{at}id' must not contain '/' or '\\', got {case_id!r}")
     space = None
     if "space" in doc:
         space_doc = _get(doc, f"{at}space", dict)
@@ -177,7 +180,7 @@ def _parse_case(doc: dict, at: str, base_dir: Path, default_id: str) -> BenchCas
             options = enumerate(_get(space_doc, "options", list))
             space = ConfigSpace(tuple(_parse_option(o, f"options[{i}]") for i, o in options))
     space, oracle = _parse_oracle(_get(doc, f"{at}oracle", dict), f"{at}oracle", base_dir, space)
-    return BenchCase(case_id=str(doc.get("id", default_id)), space=space, oracle=oracle)
+    return BenchCase(case_id=case_id, space=space, oracle=oracle)
 
 
 def _parse_optimizer(entry, index: int) -> OptimizerSpec:
@@ -233,11 +236,14 @@ def load_runspec(path: str | Path) -> RunSpec:
     optimizers = tuple(_parse_optimizer(o, i) for i, o in enumerate(_get(doc, "optimizers", list)))
     if len({o.label for o in optimizers}) != len(optimizers):
         raise RunSpecError("optimizer entries must have distinct labels")
+    budgets = tuple(_get(doc, "budgets", [int]))
+    if len(set(budgets)) != len(budgets):
+        raise RunSpecError(f"'budgets' must be distinct, got {list(budgets)}")
 
     return RunSpec(
         cases=cases,
         optimizers=optimizers,
-        budgets=tuple(_get(doc, "budgets", [int])),
+        budgets=budgets,
         population_size=_get(doc, "population_size", int, TunerParams.population_size),
         repeats=_get(doc, "repeats", int, 1),
         p=_get(doc, "p", float, TunerParams.target_proportion),

@@ -147,6 +147,9 @@ class TestRunSpec:
                  "auxiliary_column": "cpu", "delimiter": ""},
                 "'oracle.delimiter' must be a nonempty string, got ''",
             ),
+            ("budgets", [10, 10], "'budgets' must be distinct"),
+            ("id", "../escaped", "'id' must not contain '/'"),
+            ("id", "..\\escaped", "'id' must not contain '/'"),
         ],
     )
     def test_malformed_entry_exits_2_naming_the_key(self, spec_dir, capsys, key, value, named):

@@ -2,6 +2,8 @@
 
 import functools
 import itertools
+import multiprocessing
+import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -82,6 +84,23 @@ class DownOracle:
 
     def sample(self, config):
         raise OracleDown("bench-host", 503)
+
+
+@dataclass(frozen=True)
+class DyingOracle:
+    """Measures as ``landscape`` in the process that started the pool, and
+    ends any pool worker that measures with it."""
+
+    landscape: object
+
+    @property
+    def space(self) -> ConfigSpace:
+        return self.landscape.space
+
+    def sample(self, config):
+        if multiprocessing.parent_process() is not None:
+            os._exit(3)
+        return self.landscape.sample(config)
 
 
 def table_case(case_id="table") -> BenchCase:
@@ -192,6 +211,21 @@ class TestCampaign:
             assert campaign_summary(results[1:]) == expected
         assert errors[0] == errors[1]
         assert errors[0] == "run down__rs__b15__r0: OracleDown: bench-host answered 503"
+
+    def test_broken_pool_fails_only_its_case(self):
+        # the pool's error names no run: none of the case's outcomes came back
+        good = self.make_cases()[0]
+        dying = BenchCase("dying", good.space, DyingOracle(good.oracle))
+        expected = campaign_summary(
+            run_campaign([good], [OptimizerSpec("rs")], [15], 2, base_seed=0)
+        )
+        results = run_campaign([dying, good], [OptimizerSpec("rs")], [15], 2, base_seed=0, jobs=2)
+        assert results[0].error.startswith("BrokenProcessPool: ")
+        assert "run None" not in results[0].error
+        assert results[0].runs == {}
+        assert results[1].error is None
+        assert campaign_summary(results[1:]) == expected
+        assert harness._case is None
 
     @pytest.mark.parametrize("jobs", [1, 2, 3])
     def test_the_failing_run_is_named_in_either_share(self, monkeypatch, jobs):
@@ -387,6 +421,7 @@ class TestSummary:
         assert len(comparisons) == 3 * 2  # 3 unordered pairs x 2 budgets
         summary = campaign_summary([case])
         entry = summary["cases"]["case"]
+        assert entry["comparisons"] == comparisons
         assert len(entry["comparisons"]) == 6
         assert all("effect" in c for c in entry["comparisons"])
         assert set(entry["speedup"]) == {"rs", "ga"}
