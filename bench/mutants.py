@@ -16,7 +16,8 @@ pin. The exit code is 1 when a mutant without such a reason survives,
 lines, else 0. ``--list`` makes that last check too, and runs nothing.
 Standard library only. Each mutant costs a whole tier-1 run, so CI runs
 ``--list`` and, on one Python version, only the mutants of the
-generation loop that the pmo and GA kinds share.
+generation loop that the pmo and GA kinds share and of two campaign
+grid rules.
 """
 
 from __future__ import annotations
@@ -52,6 +53,7 @@ TUNER = "src/admmo/tuner.py"
 ORACLES = "src/admmo/oracles.py"
 SPACE = "src/admmo/space.py"
 HARNESS = "src/admmo/harness.py"
+RUNSPEC = "src/admmo/runspec.py"
 MUTANTS = (
     Mutant(
         "M3", TUNER,
@@ -186,6 +188,19 @@ MUTANTS = (
         "        raise RuntimeError(f\"{type(exc).__name__}: {exc}\")\n",
         "a run's failure is raised, not returned, so its share fails before any run"
         " is filed and the case's error names no run",
+    ),
+    # the grid rules a campaign is built under
+    Mutant(
+        "campaign-repeated-budgets", RUNSPEC,
+        "        if len(set(self.budgets)) != len(self.budgets):\n",
+        "        if False:\n",
+        "a campaign accepts a budget listed twice and files each of its runs twice",
+    ),
+    Mutant(
+        "campaign-repeated-labels", RUNSPEC,
+        "        if len({o.label for o in self.optimizers}) != len(self.optimizers):\n",
+        "        if False:\n",
+        "a campaign accepts an optimizer label listed twice and files each of its runs twice",
     ),
     # the NK landscape's rolling table index
     Mutant(

@@ -12,8 +12,8 @@ The command-line equivalent is:  admmo bench demos/data/demo-spec.yaml
 
 from admmo import (
     BenchCase,
+    Campaign,
     OptimizerSpec,
-    TunerParams,
     campaign_summary,
     normalized_target_performance,
     pairwise_comparisons,
@@ -27,18 +27,17 @@ for seed in (101, 202):
     oracle = synthetic_landscape(n_options=12, domain_sizes=2, k=4, seed=seed)
     cases.append(BenchCase(f"landscape-{seed}", oracle.space, oracle))
 
-optimizers = [
+optimizers = (
     OptimizerSpec("admmo"),
     OptimizerSpec("mmo_fixed", fixed_w=1.0),
     OptimizerSpec("rs"),
-]
-budgets = (100, 200)
-repeats = 10
-
-results = run_campaign(
-    cases, optimizers, budgets=budgets, repeats=repeats, base_seed=500,
-    params=TunerParams(budget=max(budgets)),
 )
+budgets = (100, 200)
+
+# Building a Campaign checks the grid: distinct case ids, labels and
+# budgets, every budget at least the population size, repeats >= 1.
+campaign = Campaign(tuple(cases), optimizers, budgets, repeats=10, seed=500)
+results = run_campaign(campaign)
 
 # %% Normalized target performance: every run's final best, min-max
 # scaled over the whole case pool (all optimizers, budgets, repeats).

@@ -22,6 +22,7 @@ _EXPORTS = {
     "baselines": ("run_optimizer", "run_rs"),
     "harness": (
         "BenchCase",
+        "Campaign",
         "CaseResult",
         "campaign_summary",
         "mean_best_curve",

@@ -20,7 +20,7 @@ from . import __version__
 
 if TYPE_CHECKING:
     from .runspec import RunSpec
-    from .tuner import TunerParams, TuningRun
+    from .tuner import TuningRun
 
 # tune and bench import the tuner, the run-spec parser and the campaign
 # harness when they run, and report needs none of them. perfbench's tracer
@@ -143,12 +143,6 @@ def _remove_outputs(out_dir: Path, names: tuple[str, ...]) -> None:
             path.unlink(missing_ok=True)
 
 
-def _tuner_params(spec: RunSpec, budget: int) -> TunerParams:
-    from .tuner import TunerParams
-
-    return TunerParams(budget, spec.population_size, spec.p)
-
-
 def _spec_with_flags(args) -> RunSpec:
     """The run-spec with the command's flags applied; ``replace`` checks a
     flag as ``load_runspec`` checks the file value it stands in for."""
@@ -170,6 +164,7 @@ def cmd_tune(args) -> int:
     """The first case's first optimizer at the first budget; writes the
     best found and the trajectory."""
     from .baselines import run_optimizer
+    from .tuner import TunerParams
 
     spec = _spec_with_flags(args)
     case = spec.cases[0]
@@ -179,7 +174,7 @@ def cmd_tune(args) -> int:
     if _refuse_non_empty(out_dir, args.force):
         return 2
 
-    params = _tuner_params(spec, budget)
+    params = TunerParams(budget, spec.population_size, spec.p)
     rid = f"{case.case_id}__{optimizer.label}__b{budget}__s{spec.seed}"
     run = run_optimizer(optimizer, case.space, case.oracle, params, spec.seed)
 
@@ -222,15 +217,7 @@ def cmd_bench(args) -> int:
     if _refuse_non_empty(out_dir, args.force):
         return 2
 
-    results = run_campaign(
-        spec.cases,
-        spec.optimizers,
-        spec.budgets,
-        spec.repeats,
-        base_seed=spec.seed,
-        params=_tuner_params(spec, max(spec.budgets)),
-        jobs=args.jobs,
-    )
+    results = run_campaign(spec, jobs=args.jobs)
 
     _remove_outputs(out_dir, CAMPAIGN_OUTPUTS)
     provenance = _provenance(spec.digest, spec.seed)

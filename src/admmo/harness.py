@@ -11,9 +11,9 @@ fixed number of seeded repeats, then summarizes:
   match that value (None when it never does within budget);
 * pairwise rank-sum p-values, effect sizes, and their significance band.
 
-``run_campaign(..., jobs=N)`` runs each case on N processes: the runs are
-dealt round-robin into N shares, the calling process runs the first, and
-a pool of up to N-1 workers the others, one share each.
+``run_campaign(campaign, jobs=N)`` runs each case on N processes: the
+runs are dealt round-robin into N shares, the calling process runs the
+first, and a pool of up to N-1 workers the others, one share each.
 """
 
 from __future__ import annotations
@@ -21,14 +21,14 @@ from __future__ import annotations
 import sys
 import warnings
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .baselines import run_optimizer
 from .cli import run_id
-from .runspec import BenchCase
+from .runspec import BenchCase, Campaign
 from .stats import a12, classify_effect, wilcoxon_rank_sum
-from .tuner import OptimizerSpec, TunerParams, TuningRun
+from .tuner import TunerParams, TuningRun
 
 SPEEDUP_REFERENCE = "admmo"  # campaign_summary's speedups are against this optimizer
 
@@ -49,7 +49,7 @@ def __getattr__(name: str):
 class CaseResult:
     """All runs of one case, keyed by optimizer label then budget; each
     list is in repeat order, so ``runs[label][budget][rep]`` ran at seed
-    ``base_seed + rep``."""
+    ``campaign.seed + rep``."""
 
     case_id: str
     budgets: tuple[int, ...]
@@ -93,16 +93,8 @@ def _run_share(share: list) -> list:
     return [_one_run(task) for task in share]
 
 
-def run_campaign(
-    cases: Sequence[BenchCase],
-    optimizers: Sequence[OptimizerSpec],
-    budgets: Sequence[int],
-    repeats: int,
-    base_seed: int,
-    params: TunerParams | None = None,
-    jobs: int = 1,
-) -> list[CaseResult]:
-    """Execute the full grid of runs; repeat r uses seed base_seed + r.
+def run_campaign(campaign: Campaign, jobs: int = 1) -> list[CaseResult]:
+    """Execute the campaign's grid of runs; repeat r uses seed campaign.seed + r.
 
     Identical seeds across optimizers align initial populations. ``jobs``
     processes run each case, this one among them: process w runs every
@@ -114,24 +106,21 @@ def run_campaign(
     dropped, and the campaign goes on; a case whose pool breaks is
     reported with the pool's error alone, as no run of it is known.
     """
-    if repeats < 1:
-        raise ValueError("repeats must be positive")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    template = params or TunerParams(budget=max(budgets))
     tasks = [
-        (spec, replace(template, budget=int(budget)), base_seed + rep)
-        for spec in optimizers
-        for budget in budgets
-        for rep in range(repeats)
+        (spec, TunerParams(int(budget), campaign.population_size, campaign.p), campaign.seed + rep)
+        for spec in campaign.optimizers
+        for budget in campaign.budgets
+        for rep in range(campaign.repeats)
     ]
     # process w runs every jobs-th task from task w; empty shares are
     # dropped, so the pool starts one worker per share beside this one's
     shares = [share for share in (tasks[w::jobs] for w in range(jobs)) if share]
     results = []
-    for case in cases:
-        runs = {spec.label: {int(b): [] for b in budgets} for spec in optimizers}
-        result = CaseResult(case.case_id, tuple(budgets), repeats, runs)
+    for case in campaign.cases:
+        runs = {spec.label: {int(b): [] for b in campaign.budgets} for spec in campaign.optimizers}
+        result = CaseResult(case.case_id, campaign.budgets, campaign.repeats, runs)
         results.append(result)
         _set_case(case)
         try:
@@ -149,7 +138,7 @@ def run_campaign(
         for i, (spec, run_params, seed) in enumerate(tasks):
             outcome = outcomes[i % jobs][i // jobs]
             if isinstance(outcome, str):  # tasks are filed in order, so this is the first failure
-                rid = run_id(case.case_id, spec.label, run_params.budget, seed - base_seed)
+                rid = run_id(case.case_id, spec.label, run_params.budget, seed - campaign.seed)
                 result.error = f"run {rid}: {outcome}"
                 result.runs = {}
                 break

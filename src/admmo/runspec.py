@@ -32,23 +32,31 @@ class BenchCase:
 
 
 @dataclass(frozen=True)
-class RunSpec:
-    """Parsed and validated campaign description."""
+class Campaign:
+    """Every optimizer on every case at every budget, ``repeats`` times;
+    repeat r runs at seed ``seed + r``. Building one checks every rule of
+    the grid, so neither the run-spec parser nor the runner does."""
 
     cases: tuple[BenchCase, ...]
     optimizers: tuple[OptimizerSpec, ...]
     budgets: tuple[int, ...]
     repeats: int
     seed: int
-    p: float
-    population_size: int
-    output_dir: Path
-    digest: str
+    p: float = TunerParams.target_proportion
+    population_size: int = TunerParams.population_size
 
     def __post_init__(self) -> None:
-        # the range checks; dataclasses.replace runs them again, so a
-        # command-line override is checked as its file value would be.
-        # TunerParams owns the population and p rules.
+        # dataclasses.replace runs these again, so a command-line override
+        # is checked as its file value would be
+        if not (self.cases and self.optimizers and self.budgets):
+            raise RunSpecError("a campaign needs at least one case, optimizer and budget")
+        if len({c.case_id for c in self.cases}) != len(self.cases):
+            raise RunSpecError("case ids must be unique")
+        if len({o.label for o in self.optimizers}) != len(self.optimizers):
+            raise RunSpecError("optimizer entries must have distinct labels")
+        if len(set(self.budgets)) != len(self.budgets):
+            raise RunSpecError(f"'budgets' must be distinct, got {list(self.budgets)}")
+        # TunerParams owns the population and p rules
         try:
             TunerParams(min(self.budgets), self.population_size, self.p)
         except ValueError as exc:
@@ -57,6 +65,15 @@ class RunSpec:
             raise RunSpecError("every budget must be at least the population size")
         if self.repeats < 1:
             raise RunSpecError("repeats must be positive")
+
+
+@dataclass(frozen=True, kw_only=True)
+class RunSpec(Campaign):
+    """A campaign read from a run-spec file, with where its output goes
+    and the digest of the file's bytes."""
+
+    output_dir: Path
+    digest: str
 
     def select_optimizer(self, label: str) -> OptimizerSpec:
         """The optimizer with this label, else the first of this kind."""
@@ -230,15 +247,8 @@ def load_runspec(path: str | Path) -> RunSpec:
         )
     else:
         cases = (_parse_case(doc, "", base_dir, "case0"),)
-    if len({c.case_id for c in cases}) != len(cases):
-        raise RunSpecError("case ids must be unique")
-
     optimizers = tuple(_parse_optimizer(o, i) for i, o in enumerate(_get(doc, "optimizers", list)))
-    if len({o.label for o in optimizers}) != len(optimizers):
-        raise RunSpecError("optimizer entries must have distinct labels")
     budgets = tuple(_get(doc, "budgets", [int]))
-    if len(set(budgets)) != len(budgets):
-        raise RunSpecError(f"'budgets' must be distinct, got {list(budgets)}")
 
     return RunSpec(
         cases=cases,

@@ -6,13 +6,14 @@ import multiprocessing
 import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from multiprocessing import get_context
 
 import pytest
 
 from admmo import (
     BenchCase,
+    Campaign,
     CaseResult,
     ConfigSpace,
     Configuration,
@@ -129,15 +130,17 @@ def categorical_table_case() -> BenchCase:
     return BenchCase("categorical", space, MeasurementTable(space, rows))
 
 
+RS = (OptimizerSpec("rs"),)
+
+
 class TestCampaign:
     def make_cases(self):
         oracle_a = synthetic_landscape(n_options=8, domain_sizes=2, k=2, seed=61)
-        return [BenchCase("land-a", oracle_a.space, oracle_a)]
+        return (BenchCase("land-a", oracle_a.space, oracle_a),)
 
     def test_cardinality(self):
-        cases = self.make_cases()
-        optimizers = [OptimizerSpec("admmo"), OptimizerSpec("rs")]
-        results = run_campaign(cases, optimizers, budgets=[30], repeats=3, base_seed=100)
+        optimizers = (OptimizerSpec("admmo"), OptimizerSpec("rs"))
+        results = run_campaign(Campaign(self.make_cases(), optimizers, (30,), repeats=3, seed=100))
         assert len(results) == 1
         runs = results[0].runs
         total = sum(len(v) for per in runs.values() for v in per.values())
@@ -146,49 +149,68 @@ class TestCampaign:
                    for v in per.values() for run in v)
 
     def test_rerun_reproduces_all_numbers(self):
-        cases = self.make_cases()
-        optimizers = [OptimizerSpec("admmo"), OptimizerSpec("ga")]
-        a = run_campaign(cases, optimizers, budgets=[25], repeats=2, base_seed=7)
-        b = run_campaign(cases, optimizers, budgets=[25], repeats=2, base_seed=7)
-        assert campaign_summary(a) == campaign_summary(b)
+        optimizers = (OptimizerSpec("admmo"), OptimizerSpec("ga"))
+        campaign = Campaign(self.make_cases(), optimizers, (25,), repeats=2, seed=7)
+        assert campaign_summary(run_campaign(campaign)) == campaign_summary(run_campaign(campaign))
+
+    @pytest.mark.parametrize(
+        "key, value, rule",
+        [
+            ("budgets", "twice", "'budgets' must be distinct, got [20, 20]"),
+            ("optimizers", "twice", "optimizer entries must have distinct labels"),
+            ("cases", "twice", "case ids must be unique"),
+            ("cases", (), "a campaign needs at least one case, optimizer and budget"),
+            ("optimizers", (), "a campaign needs at least one case, optimizer and budget"),
+            ("budgets", (), "a campaign needs at least one case, optimizer and budget"),
+            ("budgets", (20, 5), "every budget must be at least the population size"),
+            ("repeats", 0, "repeats must be positive"),
+        ],
+    )
+    def test_a_grid_breaking_a_rule_is_rejected(self, key, value, rule):
+        # the rules the run-spec's keys are checked by hold for a campaign
+        # built here too; "twice" lists the grid's one entry twice
+        grid = dict(cases=self.make_cases(), optimizers=RS, budgets=(20,), repeats=2, seed=0)
+        grid[key] = grid[key] * 2 if value == "twice" else value
+        with pytest.raises(ValueError) as raised:
+            Campaign(**grid)
+        assert str(raised.value) == rule
 
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one_rejected(self, jobs):
         with pytest.raises(ValueError) as raised:
-            run_campaign(self.make_cases(), [OptimizerSpec("rs")], [20], 2, 3, jobs=jobs)
+            run_campaign(Campaign(self.make_cases(), RS, (20,), 2, 3), jobs=jobs)
         assert str(raised.value) == f"jobs must be at least 1, got {jobs}"
 
     def test_parallel_jobs_match_sequential(self):
-        cases = self.make_cases()
-        optimizers = [OptimizerSpec("rs"), OptimizerSpec("ga")]
-        seq = run_campaign(cases, optimizers, budgets=[20], repeats=2, base_seed=3, jobs=1)
+        optimizers = (OptimizerSpec("rs"), OptimizerSpec("ga"))
+        campaign = Campaign(self.make_cases(), optimizers, (20,), repeats=2, seed=3)
+        seq = run_campaign(campaign, jobs=1)
         for jobs in (2, 3):  # one worker beside this process, then two
-            par = run_campaign(cases, optimizers, budgets=[20], repeats=2, base_seed=3, jobs=jobs)
+            par = run_campaign(campaign, jobs=jobs)
             assert campaign_summary(seq) == campaign_summary(par)
 
     @pytest.mark.parametrize("jobs", [1, 2, 3])
     def test_each_run_sits_at_its_repeat(self, jobs):
         # the CLI names the run at runs[label][budget][rep] by rep, so that
-        # position must hold the run at seed base_seed + rep
+        # position must hold the run at seed campaign.seed + rep
         case = self.make_cases()[0]
-        optimizers = [OptimizerSpec("admmo"), OptimizerSpec("ga"), OptimizerSpec("rs")]
-        params = TunerParams(budget=30, target_proportion=0.5)
-        result = run_campaign([case], optimizers, [20, 30], 3, 40, params=params, jobs=jobs)[0]
+        optimizers = (OptimizerSpec("admmo"), OptimizerSpec("ga"), OptimizerSpec("rs"))
+        campaign = Campaign((case,), optimizers, (20, 30), 3, 40, p=0.5, population_size=6)
+        result = run_campaign(campaign, jobs=jobs)[0]
         for spec in optimizers:
             for budget in (20, 30):
+                params = TunerParams(budget, population_size=6, target_proportion=0.5)
                 assert result.runs[spec.label][budget] == [
-                    run_optimizer(spec, case.space, case.oracle, replace(params, budget=budget), 40 + rep)
+                    run_optimizer(spec, case.space, case.oracle, params, 40 + rep)
                     for rep in range(3)
                 ]
 
     def test_failing_case_reports_error_and_continues(self):
         good = self.make_cases()[0]
-        cases = [BenchCase("broken", good.space, BrokenOracle(good.space)), good]
-        expected = campaign_summary(
-            run_campaign([good], [OptimizerSpec("rs")], [15], 2, base_seed=0)
-        )
+        cases = (BenchCase("broken", good.space, BrokenOracle(good.space)), good)
+        expected = campaign_summary(run_campaign(Campaign((good,), RS, (15,), 2, 0)))
         for jobs in (1, 2):
-            results = run_campaign(cases, [OptimizerSpec("rs")], [15], 2, base_seed=0, jobs=jobs)
+            results = run_campaign(Campaign(cases, RS, (15,), 2, 0), jobs=jobs)
             assert results[0].error is not None
             assert "dead system" in results[0].error
             assert "broken__rs__b15__r0" in results[0].error
@@ -199,13 +221,11 @@ class TestCampaign:
         # a worker's OracleDown would not unpickle in the parent and would
         # break the pool, so jobs=2 must report the run's error as jobs=1 does
         good = self.make_cases()[0]
-        cases = [BenchCase("down", good.space, DownOracle(good.space)), good]
-        expected = campaign_summary(
-            run_campaign([good], [OptimizerSpec("rs")], [15], 2, base_seed=0)
-        )
+        cases = (BenchCase("down", good.space, DownOracle(good.space)), good)
+        expected = campaign_summary(run_campaign(Campaign((good,), RS, (15,), 2, 0)))
         errors = []
         for jobs in (1, 2):
-            results = run_campaign(cases, [OptimizerSpec("rs")], [15], 2, base_seed=0, jobs=jobs)
+            results = run_campaign(Campaign(cases, RS, (15,), 2, 0), jobs=jobs)
             errors.append(results[0].error)
             assert results[1].error is None
             assert campaign_summary(results[1:]) == expected
@@ -216,10 +236,8 @@ class TestCampaign:
         # the pool's error names no run: none of the case's outcomes came back
         good = self.make_cases()[0]
         dying = BenchCase("dying", good.space, DyingOracle(good.oracle))
-        expected = campaign_summary(
-            run_campaign([good], [OptimizerSpec("rs")], [15], 2, base_seed=0)
-        )
-        results = run_campaign([dying, good], [OptimizerSpec("rs")], [15], 2, base_seed=0, jobs=2)
+        expected = campaign_summary(run_campaign(Campaign((good,), RS, (15,), 2, 0)))
+        results = run_campaign(Campaign((dying, good), RS, (15,), 2, 0), jobs=2)
         assert results[0].error.startswith("BrokenProcessPool: ")
         assert "run None" not in results[0].error
         assert results[0].runs == {}
@@ -240,7 +258,7 @@ class TestCampaign:
         good = self.make_cases()[0]
         monkeypatch.setattr(harness, "run_optimizer", failing_at_r3)
         case = BenchCase("c", good.space, good.oracle)
-        results = run_campaign([case], [OptimizerSpec("rs")], [15], 6, base_seed=20, jobs=jobs)
+        results = run_campaign(Campaign((case,), RS, (15,), 6, 20), jobs=jobs)
         assert results[0].error == "run c__rs__b15__r3: RuntimeError: no answer at r3"
         assert results[0].runs == {}
 
@@ -263,12 +281,11 @@ class TestCampaign:
                 )
                 return super().map(fn, shares, **kwargs)
 
-        case = self.make_cases()[0]
-        rs = [OptimizerSpec("rs")]
         monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
         for repeats in (1, 2, 6):
-            expected = run_campaign([case], rs, [15], repeats, base_seed=0)[0].runs
-            assert run_campaign([case], rs, [15], repeats, 0, jobs=jobs)[0].runs == expected
+            campaign = Campaign(self.make_cases(), RS, (15,), repeats, 0)
+            expected = run_campaign(campaign)[0].runs
+            assert run_campaign(campaign, jobs=jobs)[0].runs == expected
         # one task starts no pool and two start one worker, for the second;
         # of six, process w runs every jobs-th from task w, this one first,
         # and each other process is a worker handed its share as one task
@@ -295,8 +312,8 @@ class TestCampaign:
         case = table_case()
         assert len(case.oracle) == 4096
         monkeypatch.setattr(harness, "ProcessPoolExecutor", TaskSizePool)
-        optimizers = [OptimizerSpec("rs"), OptimizerSpec("admmo")]
-        results = run_campaign([case], optimizers, budgets=[20], repeats=2, base_seed=5, jobs=2)
+        optimizers = (OptimizerSpec("rs"), OptimizerSpec("admmo"))
+        results = run_campaign(Campaign((case,), optimizers, (20,), repeats=2, seed=5), jobs=2)
         assert results[0].error is None
         assert len(sizes) == 2  # the worker's share: every second of the 4 tasks
         assert max(sizes) < 1024
@@ -306,24 +323,25 @@ class TestCampaign:
         # spawned workers share no memory with the parent, as on macOS and
         # Windows, so the case must reach them through the pool's initializer
         landscape = synthetic_landscape(n_options=6, domain_sizes=3, k=2, seed=23)
-        cases = [table_case(), BenchCase("nk", landscape.space, landscape)]
-        optimizers = [OptimizerSpec("rs"), OptimizerSpec("admmo")]
-        seq = run_campaign(cases, optimizers, budgets=[20], repeats=2, base_seed=9, jobs=1)
+        cases = (table_case(), BenchCase("nk", landscape.space, landscape))
+        optimizers = (OptimizerSpec("rs"), OptimizerSpec("admmo"))
+        campaign = Campaign(cases, optimizers, (20,), repeats=2, seed=9)
+        seq = run_campaign(campaign, jobs=1)
         spawn = functools.partial(ProcessPoolExecutor, mp_context=get_context("spawn"))
         monkeypatch.setattr(harness, "ProcessPoolExecutor", spawn)
-        par = run_campaign(cases, optimizers, budgets=[20], repeats=2, base_seed=9, jobs=2)
+        par = run_campaign(campaign, jobs=2)
         assert all(result.error is None for result in par)
         assert campaign_summary(par) == campaign_summary(seq)
 
     def test_spawned_workers_look_up_categorical_rows(self, monkeypatch):
         # a spawned worker salts string hashes afresh, so a table keyed by
         # configurations holding strings must be rehashed as it arrives
-        cases = [categorical_table_case()]
-        optimizers = [OptimizerSpec("rs"), OptimizerSpec("admmo"), OptimizerSpec("ga")]
-        seq = run_campaign(cases, optimizers, budgets=[30], repeats=2, base_seed=4, jobs=1)
+        optimizers = (OptimizerSpec("rs"), OptimizerSpec("admmo"), OptimizerSpec("ga"))
+        campaign = Campaign((categorical_table_case(),), optimizers, (30,), repeats=2, seed=4)
+        seq = run_campaign(campaign, jobs=1)
         spawn = functools.partial(ProcessPoolExecutor, mp_context=get_context("spawn"))
         monkeypatch.setattr(harness, "ProcessPoolExecutor", spawn)
-        par = run_campaign(cases, optimizers, budgets=[30], repeats=2, base_seed=4, jobs=2)
+        par = run_campaign(campaign, jobs=2)
         assert all(result.error is None for result in seq + par)
         assert campaign_summary(par) == campaign_summary(seq)
 
