@@ -16,8 +16,8 @@ pin. The exit code is 1 when a mutant without such a reason survives,
 lines, else 0. ``--list`` makes that last check too, and runs nothing.
 Standard library only. Each mutant costs a whole tier-1 run, so CI runs
 ``--list`` and, on one Python version, only the mutants of the
-generation loop that the pmo and GA kinds share and of two campaign
-grid rules.
+generation loop that the pmo and GA kinds share, of two campaign grid
+rules and of the sort's order within a later front.
 """
 
 from __future__ import annotations
@@ -201,6 +201,19 @@ MUTANTS = (
         "        if len({o.label for o in self.optimizers}) != len(self.optimizers):\n",
         "        if False:\n",
         "a campaign accepts an optimizer label listed twice and files each of its runs twice",
+    ),
+    # the staircase sort's fronts and the peel order within them
+    Mutant(
+        "later-fronts-in-population-order", "src/admmo/nsga2.py",
+        "    return [[pop[key[-1]] for key in sorted(front)] for front in keys]\n",
+        "    return [[pop[i] for i in sorted(key[-1] for key in front)] for front in keys]\n",
+        "each later front is in population order, not the peel's order by last dominator",
+    ),
+    Mutant(
+        "copies-split-across-fronts", "src/admmo/nsga2.py",
+        "from bisect import bisect_left\n",
+        "from bisect import bisect_right as bisect_left\n",
+        "a point equal to a front's last point joins the next front, so copies are split",
     ),
     # the NK landscape's rolling table index
     Mutant(

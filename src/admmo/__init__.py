@@ -44,7 +44,6 @@ _EXPORTS = {
         "boundary_mutation",
         "crowding_distance",
         "nondominated_sort",
-        "nsga2_survival",
         "uniform_crossover",
     ),
     "oracles": (

@@ -255,8 +255,9 @@ def _summary_problem(summary) -> str | None:
     return None
 
 
-def _case_entry_problem(entry) -> str | None:
-    """Why report cannot read a summary's case entry, or None if it can."""
+def _case_entry_problem(entry, budgets: list) -> str | None:
+    """Why report cannot read a summary's case entry, or None if it can;
+    ``budgets`` are the summary's, which head the performance table."""
     if not isinstance(entry, dict):
         return f"is {entry!r}, not a mapping"
     if "error" in entry:
@@ -282,6 +283,8 @@ def _case_entry_problem(entry) -> str | None:
     for label, value in speedups.items():
         if value is not None and not isinstance(value, (int, float)):
             return f"has 'speedup.{label}' {value!r}, not a number or null"
+    if entry["budgets"] != budgets:
+        return f"lists budgets {entry['budgets']}, but the summary lists {budgets}"
     return None
 
 
@@ -307,7 +310,7 @@ def cmd_report(args) -> int:
         print(f"error: campaign at {campaign_dir} contains no cases", file=sys.stderr)
         return 2
     for case_id, entry in sorted(cases.items()):
-        problem = _case_entry_problem(entry)
+        problem = _case_entry_problem(entry, summary.get("budgets", []))
         if problem:
             print(f"error: case {case_id!r} in {summary_path} {problem}", file=sys.stderr)
             return 2

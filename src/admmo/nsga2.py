@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
+from collections import deque
 from typing import Callable
 
 from .mmo import Individual
@@ -15,51 +17,48 @@ from .space import BINARY, CATEGORICAL, ConfigSpace, Configuration
 
 
 def nondominated_sort(pop: list[Individual]) -> list[list[Individual]]:
-    """Fast nondominated sort on (g1, g2); writes ranks back.
+    """Nondominated sort on (g1, g2) as a 2-D staircase; writes ranks back.
 
     Front 0 is the nondominated set; every member of front i+1 is
-    dominated by at least one member of an earlier front. The pair loop is
-    Deb et al.'s O(n^2) one, with ``mmo.dominates`` inlined on local
-    floats: the order within each front is part of the output, since
-    crowding ties, duplicate representatives and tournament picks
-    follow it.
+    dominated by a member of front i. Points are visited in (g1, g2)
+    order, and each joins the first front whose last point does not
+    dominate it, found by bisection over the fronts' (g2, g1) tails
+    (Jensen 2003); exact copies land in the same front. The order within
+    each front is part of the output, since crowding ties, duplicate
+    representatives and tournament picks follow it, so it is the order of
+    Deb et al.'s peel: front 0 in population order, each later front by
+    the position of a member's last dominator in the front before, then
+    by population index.
     """
-    size = len(pop)
     g = [(ind.g1, ind.g2) for ind in pop]
-    dominated_by: list[list[int]] = [[] for _ in range(size)]
-    domination_count = [0] * size
-    current: list[int] = []
-    for i in range(size):
-        a1, a2 = g[i]
-        beats = dominated_by[i]
-        for j in range(i + 1, size):
-            b1, b2 = g[j]
-            if a1 <= b1 and a2 <= b2:
-                # equal points dominate neither way
-                if a1 < b1 or a2 < b2:
-                    beats.append(j)
-                    domination_count[j] += 1
-            elif b1 <= a1 and b2 <= a2:
-                dominated_by[j].append(i)
-                domination_count[i] += 1
-        if domination_count[i] == 0:
-            current.append(i)
-            pop[i].rank = 0
-
-    fronts: list[list[Individual]] = []
-    rank = 0
-    while current:
-        fronts.append([pop[i] for i in current])
-        nxt: list[int] = []
-        for i in current:
-            for j in dominated_by[i]:
-                domination_count[j] -= 1
-                if domination_count[j] == 0:
-                    pop[j].rank = rank + 1
-                    nxt.append(j)
-        current = nxt
-        rank += 1
-    return fronts
+    tails: list[tuple[float, float]] = []
+    keys: list[list[tuple]] = []  # per front, each member's (last dominator's key, index)
+    # each front's members, as (g2, key), that may still be a later
+    # point's last dominator; both g2 and key fall along the deque
+    peaks: list[deque] = []
+    for i in sorted(range(len(pop)), key=g.__getitem__):
+        g1, g2 = g[i]
+        k = bisect_left(tails, (g2, g1))
+        if k == len(tails):
+            tails.append((g2, g1))
+            keys.append([])
+            peaks.append(deque())
+        tails[k] = (g2, g1)
+        pop[i].rank = k
+        key = (i,)
+        if k:
+            # the point's dominators in the front before are those of its
+            # members so far whose g2 is at most the point's
+            window = peaks[k - 1]
+            while window[0][0] > g2:
+                window.popleft()
+            key = (window[0][1], i)
+        keys[k].append(key)
+        peak = peaks[k]
+        while peak and peak[-1][1] < key:
+            peak.pop()
+        peak.append((g2, key))
+    return [[pop[key[-1]] for key in sorted(front)] for front in keys]
 
 
 def crowding_distance(front: list[Individual]) -> None:
@@ -174,8 +173,3 @@ def fill_by_fronts(fronts: list[list[Individual]], capacity: int) -> list[Indivi
             ranked = sorted(front, key=lambda ind: ind.crowding, reverse=True)
             survivors.extend(ranked[:room])
     return survivors
-
-
-def nsga2_survival(union: list[Individual], capacity: int) -> list[Individual]:
-    """Plain NSGA-II survival: fill by the fronts of the union."""
-    return fill_by_fronts(nondominated_sort(union), capacity)

@@ -1,5 +1,5 @@
-"""Shared test helpers: hand-built individuals, the worked survival example
-and hypothesis strategies for unions and spaces."""
+"""Shared test helpers: hand-built individuals, plain NSGA-II survival, the
+worked survival example and hypothesis strategies for unions and spaces."""
 
 from __future__ import annotations
 
@@ -7,6 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 from admmo import ConfigSpace, Configuration, Individual, OptionSpec, PerfSample, compute_meta
+from admmo.nsga2 import fill_by_fronts, nondominated_sort
 
 
 def make_individual(
@@ -34,6 +35,12 @@ def make_meta_individual(config_value, g1: float, g2: float) -> Individual:
     ind.g1 = g1
     ind.g2 = g2
     return ind
+
+
+def nsga2_survival(union: list[Individual], capacity: int) -> list[Individual]:
+    """Plain NSGA-II survival, the reference partial retention is checked
+    against: fill by the fronts of the union."""
+    return fill_by_fronts(nondominated_sort(union), capacity)
 
 
 @pytest.fixture

@@ -510,6 +510,7 @@ class TestReport:
         ({"optimizers": 3}, "has 'optimizers' 3, not a list"),
         ({"speedup": [1]}, "has 'speedup' [1], not a mapping"),
         ({"normalized_mean": {}}, "has an empty 'normalized_mean'"),
+        ({"budgets": [10]}, "lists budgets [10], but the summary lists [10, 16]"),
     ])
     def test_case_entry_of_the_wrong_shape_exits_2(self, tmp_path, capsys, change, message):
         entry = {"budgets": [10, 16], "optimizers": ["rs"], "repeats": 1,

@@ -5,7 +5,7 @@ import random
 from functools import partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from admmo import (
@@ -17,13 +17,18 @@ from admmo import (
     crowding_distance,
     dominates,
     nondominated_sort,
-    nsga2_survival,
     uniform_crossover,
 )
 from admmo.nsga2 import raw_target_winner, tournament_winner
 from admmo.space import BINARY, CATEGORICAL
 
-from conftest import make_individual, make_meta_individual, meta_unions, mixed_spaces
+from conftest import (
+    make_individual,
+    make_meta_individual,
+    meta_unions,
+    mixed_spaces,
+    nsga2_survival,
+)
 
 
 def brute_force_fronts(pop):
@@ -41,9 +46,11 @@ def brute_force_fronts(pop):
 
 
 def reference_nondominated_sort(pop):
-    """The sort as it was before dominance was inlined: ``dominates`` on
-    each ordered pair, the same peel. Its fronts, their order included,
-    and the ranks it writes are what ``nondominated_sort`` must give."""
+    """Deb et al.'s O(n^2) peel (NSGA-II, 2002), kept as the reference for
+    the staircase sort: ``dominates`` on each pair, a list of the points
+    each point dominates and a count of its dominators. Its fronts, their
+    order included, and the ranks it writes are what ``nondominated_sort``
+    must give."""
     size = len(pop)
     dominated_by = [[] for _ in range(size)]
     domination_count = [0] * size
@@ -117,6 +124,14 @@ class TestNondominatedSort:
 
     @settings(max_examples=300)
     @given(union=meta_unions())
+    # B alone dominates C and A alone dominates D, so the peel's front 1 is
+    # [D, C]: a later front is not in population order
+    @example(union=[
+        make_meta_individual(0, 0.0, 1.0),
+        make_meta_individual(1, 1.0, 0.0),
+        make_meta_individual(2, 1.5, 0.5),
+        make_meta_individual(3, 0.5, 1.5),
+    ])
     def test_same_fronts_and_ranks_as_the_reference(self, union):
         assert_sorts_as_reference(union)
 

@@ -24,7 +24,6 @@ from admmo import (
     dominates,
     nondominated_sort,
     normalize_union,
-    nsga2_survival,
     run_admmo,
     run_optimizer,
     select_survivors,
@@ -37,7 +36,7 @@ from admmo import (
 from admmo import tuner
 from admmo.runspec import load_runspec
 
-from conftest import make_individual, meta_unions, names_of
+from conftest import make_individual, meta_unions, names_of, nsga2_survival
 
 
 class TestTriggerProbability:
