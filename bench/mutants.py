@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -234,6 +235,20 @@ MUTANTS = (
         "    head = tuple((option, math.prod(sizes[:option])) for option in range(k + 1))\n",
         "position 0's index reads x_0 as the least significant digit",
     ),
+    # one computation per quantity: A12 off the rank sum, generation 0 by survival
+    Mutant(
+        "a12-u-offset", "src/admmo/stats.py",
+        "    return (sum(doubled[:n]) - n * (n + 1)) / (2 * n * len(b))\n",
+        "    return (sum(doubled[:n]) - n * (n - 1)) / (2 * n * len(b))\n",
+        "A12 subtracts n(n-1)/2 from the rank sum, not n(n+1)/2, so it is not U / (n * m)",
+    ),
+    Mutant(
+        "generation-zero-demotes", TUNER,
+        "            state.population, params.population_size, DUPLICATES_INDISTINCT\n",
+        "            state.population, params.population_size, duplicates_mode\n",
+        "generation 0 demotes or removes copies of the initial population under the run's"
+        " duplicate policy, so the first mating round sees other ranks",
+    ),
     # the option domain that validation and enumeration read
     Mutant(
         "contains-takes-floats", SPACE,
@@ -302,6 +317,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
     parser.add_argument("--list", action="store_true", help="list the mutants and exit")
     args = parser.parse_args(argv)
+    # SIGTERM unwinds as an exit: subprocess.run kills the suite it waits
+    # for, and the mutant's temporary copy is removed
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     known = {m.name: m for m in MUTANTS}
     unknown = [name for name in args.names if name not in known]
     if unknown:

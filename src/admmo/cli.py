@@ -400,28 +400,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    tune = sub.add_parser("tune", help="run one optimizer once and write the best found")
-    tune.add_argument("spec", help="path to the run-spec file")
-    tune.add_argument("--optimizer", help="optimizer label from the spec (default: first)")
-    tune.add_argument("--budget", type=int, help="measurement budget override")
-    tune.add_argument("--seed", type=int, help="seed override")
-    tune.add_argument("--p", type=float, help="target nondominated proportion override")
-    tune.add_argument("--force", action="store_true", help="replace an earlier tune's output")
-    tune.add_argument("--out", help="output directory override")
+    # the run-spec and the overrides of tune and bench, which _spec_with_flags applies alike
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("spec", help="path to the run-spec file")
+    shared.add_argument("--optimizer", help="run this optimizer label alone (tune's default: first)")
+    shared.add_argument("--budget", type=int, help="run this budget alone (tune's default: first)")
+    shared.add_argument("--seed", type=int, help="seed override (bench's base seed)")
+    shared.add_argument("--p", type=float, help="target nondominated proportion override")
+    shared.add_argument("--force", action="store_true", help="replace the command's earlier output")
+    shared.add_argument("--out", help="output directory override")
+
+    tune = sub.add_parser(
+        "tune", parents=[shared], help="run one optimizer once and write the best found"
+    )
     tune.set_defaults(func=cmd_tune)
 
-    bench = sub.add_parser("bench", help="run the full benchmark campaign")
-    bench.add_argument("spec", help="path to the run-spec file")
-    bench.add_argument("--optimizer", help="restrict the campaign to one optimizer label")
+    bench = sub.add_parser("bench", parents=[shared], help="run the full benchmark campaign")
     bench.add_argument("--repeats", type=int, help="repeats override")
-    bench.add_argument("--seed", type=int, help="base seed override")
-    bench.add_argument("--budget", type=int, help="run a single budget instead of the ladder")
-    bench.add_argument("--p", type=float, help="target nondominated proportion override")
     bench.add_argument(
         "--jobs", type=int, default=1, help="processes running runs, this one included (default 1)"
     )
-    bench.add_argument("--force", action="store_true", help="replace an existing campaign")
-    bench.add_argument("--out", help="output directory override")
     bench.set_defaults(func=cmd_bench)
 
     report = sub.add_parser("report", help="render tables and plot data from a campaign")

@@ -63,11 +63,15 @@ def normalize_union(union: Sequence[Individual]) -> Sequence[Individual]:
     a_values = [ind.raw.f_a for ind in union]
     t_min, t_max = min(t_values), max(t_values)
     a_min, a_max = min(a_values), max(a_values)
-    t_range = t_max - t_min
-    a_range = a_max - a_min
+    # a span past the largest float is taken between halved values; a
+    # finite one is scaled by 1.0, which changes no bit
+    t_scale = 0.5 if t_max - t_min == math.inf else 1.0
+    a_scale = 0.5 if a_max - a_min == math.inf else 1.0
+    t_min, t_range = t_min * t_scale, t_max * t_scale - t_min * t_scale
+    a_min, a_range = a_min * a_scale, a_max * a_scale - a_min * a_scale
     for ind in union:
-        ind.f_t_norm = (ind.raw.f_t - t_min) / t_range if t_range > 0 else 0.0
-        ind.f_a_norm = (ind.raw.f_a - a_min) / a_range if a_range > 0 else 0.0
+        ind.f_t_norm = (ind.raw.f_t * t_scale - t_min) / t_range if t_range > 0 else 0.0
+        ind.f_a_norm = (ind.raw.f_a * a_scale - a_min) / a_range if a_range > 0 else 0.0
     return union
 
 

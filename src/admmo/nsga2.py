@@ -155,21 +155,3 @@ def boundary_mutation(
         else:
             values[i] = opt.lo if draw() < 0.5 else opt.hi
     return config if values is None else Configuration(values)
-
-
-def fill_by_fronts(fronts: list[list[Individual]], capacity: int) -> list[Individual]:
-    """Whole fronts while they fit, then the most crowded individuals of
-    the first front that does not. Crowding is computed for every front
-    the fill reaches."""
-    survivors: list[Individual] = []
-    for front in fronts:
-        if len(survivors) >= capacity:
-            break
-        crowding_distance(front)
-        room = capacity - len(survivors)
-        if len(front) <= room:
-            survivors.extend(front)
-        else:
-            ranked = sorted(front, key=lambda ind: ind.crowding, reverse=True)
-            survivors.extend(ranked[:room])
-    return survivors

@@ -189,8 +189,9 @@ def load_table(
 
     Expected layout: a header row with the option names in space order
     followed by the two objective column names, then one row per distinct
-    configuration. Lines starting with '#' are comments. Duplicate rows
-    must agree exactly; conflicting duplicates are an error.
+    configuration, of which there must be at least one. Lines starting
+    with '#' are comments. Duplicate rows must agree exactly; conflicting
+    duplicates are an error.
     """
     if not delimiter:
         raise ValueError("delimiter must not be empty")
@@ -226,6 +227,8 @@ def load_table(
         )
     t_index = n + objective_cols.index(target_column)
     a_index = n + objective_cols.index(auxiliary_column)
+    if len(data_lines) == 1:
+        raise TableFormatError(f"{path}: no data rows after the header")
 
     t_sign, a_sign = orientation.apply(1.0, 1.0)
     rows: dict[Configuration, PerfSample] = {}

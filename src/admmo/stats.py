@@ -5,7 +5,8 @@
   integers) for small samples, tie-corrected normal approximation
   otherwise;
 * the Vargha-Delaney effect size: the probability that a draw from the
-  first sample exceeds one from the second, ties split;
+  first sample exceeds one from the second, ties split, which is the
+  Mann-Whitney U over n * m, read off the same doubled midranks;
 * the conventional effect bands: a comparison counts as significant only
   when the p-value is below 0.05 and the effect size leaves the
   [0.44, 0.56] dead zone, and then classifies as small, medium, or large.
@@ -24,20 +25,22 @@ MEDIUM = "medium"
 LARGE = "large"
 
 
-def _midranks(pooled: Sequence[float]) -> list[float]:
-    """Fractional ranks (1-based); tied values share the mean of their ranks."""
+def _doubled_midranks(pooled: Sequence[float]) -> tuple[list[int], list[int]]:
+    """Twice the 1-based midranks, as integers (tied values share the mean
+    of their ranks), and the size of each group of tied values."""
     order = sorted(range(len(pooled)), key=lambda i: pooled[i])
-    ranks = [0.0] * len(pooled)
+    doubled = [0] * len(pooled)
+    ties: list[int] = []
     i = 0
     while i < len(order):
         j = i
         while j + 1 < len(order) and pooled[order[j + 1]] == pooled[order[i]]:
             j += 1
-        mean_rank = (i + j) / 2 + 1
         for k in range(i, j + 1):
-            ranks[order[k]] = mean_rank
+            doubled[order[k]] = i + j + 2
+        ties.append(j + 1 - i)
         i = j + 1
-    return ranks
+    return doubled, ties
 
 
 def _exact_rank_sum_p(doubled_ranks: list[int], n: int, observed: int) -> float:
@@ -74,16 +77,12 @@ def _normal_sf(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
-def _approx_rank_sum_p(ranks: list[float], n: int, m: int, observed: float) -> float:
-    """Normal approximation with tie correction and continuity correction."""
+def _approx_rank_sum_p(ties: list[int], n: int, m: int, observed: float) -> float:
+    """Normal approximation with tie correction and continuity correction;
+    ``ties`` are the sizes of the pooled sample's groups of tied values."""
     total = n + m
     mean = n * (total + 1) / 2.0
-    tie_term = 0.0
-    seen: dict[float, int] = {}
-    for r in ranks:
-        seen[r] = seen.get(r, 0) + 1
-    for count in seen.values():
-        tie_term += count**3 - count
+    tie_term = sum(count**3 - count for count in ties)
     variance = n * m / 12.0 * ((total + 1) - tie_term / (total * (total - 1)))
     if variance <= 0:
         return 1.0
@@ -98,28 +97,23 @@ def wilcoxon_rank_sum(a: Sequence[float], b: Sequence[float]) -> float:
     """Two-sided rank-sum p-value for two independent samples."""
     if not a or not b:
         raise ValueError("both samples must be nonempty")
-    pooled = list(a) + list(b)
-    ranks = _midranks(pooled)
+    doubled, ties = _doubled_midranks(list(a) + list(b))
     n = len(a)
-    observed = sum(ranks[:n])
-    if len(pooled) <= EXACT_SIZE_LIMIT:
-        doubled = [round(2 * r) for r in ranks]
-        return _exact_rank_sum_p(doubled, n, round(2 * observed))
-    return _approx_rank_sum_p(ranks, n, len(b), observed)
+    observed = sum(doubled[:n])
+    if len(doubled) <= EXACT_SIZE_LIMIT:
+        return _exact_rank_sum_p(doubled, n, observed)
+    return _approx_rank_sum_p(ties, n, len(b), observed / 2)
 
 
 def a12(a: Sequence[float], b: Sequence[float]) -> float:
-    """Probability that a value from ``a`` exceeds one from ``b``, ties split."""
+    """Probability that a value from ``a`` exceeds one from ``b``, ties split:
+    the Mann-Whitney U of ``a``, its rank sum less n(n+1)/2, over n * m."""
     if not a or not b:
         raise ValueError("both samples must be nonempty")
-    greater = 0.0
-    for x in a:
-        for y in b:
-            if x > y:
-                greater += 1.0
-            elif x == y:
-                greater += 0.5
-    return greater / (len(a) * len(b))
+    n = len(a)
+    doubled, _ = _doubled_midranks(list(a) + list(b))
+    # integers below 2**53: the quotient rounds as the pair count over n * m
+    return (sum(doubled[:n]) - n * (n + 1)) / (2 * n * len(b))
 
 
 def classify_effect(a12_value: float, p_value: float) -> str:

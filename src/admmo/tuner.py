@@ -16,9 +16,9 @@ Every population-based run goes through the one generation loop of
 plain multi-objective baselines, and the single-objective GA, which
 keeps the loop but selects on the raw target alone. The pieces of that
 loop live here too: the seeded initial population, the stop rule, the
-offspring loop and the packaging of a finished run, along with the fixed
-settings every run uses and the ``OptimizerSpec`` that names which
-variant a run is.
+offspring loop, survival (which also ranks generation 0) and the
+packaging of a finished run, along with the fixed settings every run
+uses and the ``OptimizerSpec`` that names which variant a run is.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .nsga2 import (
     binary_tournament,
     boundary_mutation,
     crowding_distance,
-    fill_by_fronts,
     nondominated_sort,
     raw_target_winner,
     tournament_winner,
@@ -386,6 +385,24 @@ def demote_duplicates(fronts: list[list[Individual]]) -> None:
         fronts[i + 1] += demoted
 
 
+def fill_by_fronts(fronts: list[list[Individual]], capacity: int) -> list[Individual]:
+    """Whole fronts while they fit, then the most crowded individuals of
+    the first front that does not. Crowding is computed for every front
+    the fill reaches."""
+    survivors: list[Individual] = []
+    for front in fronts:
+        if len(survivors) >= capacity:
+            break
+        crowding_distance(front)
+        room = capacity - len(survivors)
+        if len(front) <= room:
+            survivors.extend(front)
+        else:
+            ranked = sorted(front, key=lambda ind: ind.crowding, reverse=True)
+            survivors.extend(ranked[:room])
+    return survivors
+
+
 def select_survivors(
     union: list[Individual], capacity: int, duplicates_mode: str
 ) -> tuple[list[Individual], Proportion]:
@@ -555,11 +572,12 @@ def evolve(
             state.w = INITIAL_WEIGHT if adaptive else spec.fixed_w
         normalize_union(state.population)
         _set_objectives(state.population, state.w)
-        # ranks/crowding for the first mating round
-        fronts = nondominated_sort(state.population)
-        for front in fronts:
-            crowding_distance(front)
-        p_prime = Proportion.of_front(fronts[0], state.population).value
+        # ranks and crowding for the first mating round: at full capacity
+        # every front fits, and indistinct mode demotes nothing
+        _, proportion = select_survivors(
+            state.population, params.population_size, DUPLICATES_INDISTINCT
+        )
+        p_prime = proportion.value
     state.record(0, p_prime)
     for iteration in generations(space, state.ledger, params):
         offspring = breed(state, winner, space, oracle, params, rng)

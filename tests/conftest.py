@@ -7,7 +7,8 @@ import pytest
 from hypothesis import strategies as st
 
 from admmo import ConfigSpace, Configuration, Individual, OptionSpec, PerfSample, compute_meta
-from admmo.nsga2 import fill_by_fronts, nondominated_sort
+from admmo.nsga2 import nondominated_sort
+from admmo.tuner import fill_by_fronts
 
 
 def make_individual(

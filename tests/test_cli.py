@@ -214,6 +214,16 @@ class TestRunSpec:
         assert main(["bench", str(spec_dir / "spec.yaml")]) == 1
         assert capsys.readouterr().err.startswith("error: line 19: non-numeric objective value")
 
+    @pytest.mark.parametrize("command", ["tune", "bench"])
+    def test_table_without_rows_exits_1_before_any_run(self, spec_dir, capsys, command):
+        # the comment and the header of the table, no row
+        (spec_dir / "table.csv").write_text("".join(TABLE.splitlines(keepends=True)[:2]))
+        assert main([command, str(spec_dir / "spec.yaml")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.endswith("table.csv: no data rows after the header\n")
+        assert not (spec_dir / "campaign").exists()
+
     def test_synthetic_oracle_builds_its_space(self, tmp_path):
         (tmp_path / "spec.yaml").write_text(
             "oracle: {kind: synthetic, n_options: 6, domain_sizes: 2, k: 2, seed: 3}\n"

@@ -32,6 +32,18 @@ class TestNormalizeUnion:
         normalize_union(union)
         assert [ind.raw.f_t for ind in union] == [5.0, 1.0]
 
+    def test_span_past_the_largest_float(self):
+        # the span of -1e308 and 1e308 overflows; normalizing must not
+        union = [
+            make_individual(i, f_t=v, f_a=v) for i, v in enumerate((-1e308, 1e308, 0.0))
+        ]
+        normalize_union(union)
+        assert [ind.f_t_norm for ind in union] == [0.0, 1.0, 0.5]
+        assert [ind.f_a_norm for ind in union] == [0.0, 1.0, 0.5]
+        for ind in union:
+            compute_meta(ind, 1.0)
+        assert [(ind.g1, ind.g2) for ind in union] == [(0.0, 0.0), (2.0, 0.0), (1.0, 0.0)]
+
     def test_empty_union_rejected(self):
         with pytest.raises(ValueError):
             normalize_union([])

@@ -155,6 +155,12 @@ class TestLoadTable(object):
         with pytest.raises(TableFormatError, match="'cache'"):
             load_table(path, self.SPACE, "t", "a")
 
+    def test_header_without_rows_rejected(self, tmp_path):
+        path = self.write(tmp_path, "# comment line\ncache,mode,t,a\n\n# no rows\n")
+        with pytest.raises(TableFormatError) as raised:
+            load_table(path, self.SPACE, "t", "a")
+        assert str(raised.value) == f"{path}: no data rows after the header"
+
     def test_empty_delimiter_rejected_before_the_file_is_read(self, tmp_path):
         with pytest.raises(ValueError, match="delimiter"):
             load_table(tmp_path / "absent.csv", self.SPACE, "t", "a", delimiter="")

@@ -8,19 +8,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from admmo import a12, classify_effect, wilcoxon_rank_sum
-from admmo.stats import _approx_rank_sum_p, _exact_rank_sum_p, _midranks
+from admmo.stats import EXACT_SIZE_LIMIT, _approx_rank_sum_p, _doubled_midranks, _exact_rank_sum_p
+
+
+# sample values with repeats and both zeros, or any finite float
+SAMPLE_VALUES = st.sampled_from([-0.0, 0.0, 1.0, -2.5, 3.0]) | st.floats(allow_nan=False)
 
 
 def enumeration_rank_sum_p(a, b):
     """Independent oracle: enumerate every assignment of pooled midranks."""
     pooled = list(a) + list(b)
-    ranks = _midranks(pooled)
+    ranks, _ = _doubled_midranks(pooled)
     n = len(a)
     observed = sum(ranks[:n])
     sums = [sum(ranks[i] for i in combo) for combo in itertools.combinations(range(len(pooled)), n)]
-    eps = 1e-9
-    p_le = sum(s <= observed + eps for s in sums) / len(sums)
-    p_ge = sum(s >= observed - eps for s in sums) / len(sums)
+    p_le = sum(s <= observed for s in sums) / len(sums)
+    p_ge = sum(s >= observed for s in sums) / len(sums)
     return min(1.0, 2.0 * min(p_le, p_ge))
 
 
@@ -43,8 +46,8 @@ def list_rank_sum_p(doubled_ranks, n, observed):
 
 def exact_arguments(a, b):
     """What ``wilcoxon_rank_sum`` hands ``_exact_rank_sum_p`` for a and b."""
-    ranks = _midranks(list(a) + list(b))
-    return [round(2 * r) for r in ranks], len(a), round(2 * sum(ranks[: len(a)]))
+    doubled, _ = _doubled_midranks(list(a) + list(b))
+    return doubled, len(a), sum(doubled[: len(a)])
 
 
 class TestWilcoxon:
@@ -102,12 +105,10 @@ class TestWilcoxon:
         for _ in range(100):
             a = [rng.gauss(0, 1) for _ in range(10)]
             b = [rng.gauss(rng.uniform(-1, 1), 1) for _ in range(10)]
-            ranks = _midranks(a + b)
-            observed = sum(ranks[:10])
-            exact = _exact_rank_sum_p(
-                [round(2 * r) for r in ranks], 10, round(2 * observed)
-            )
-            approx = _approx_rank_sum_p(ranks, 10, 10, observed)
+            doubled, ties = _doubled_midranks(a + b)
+            observed = sum(doubled[:10])
+            exact = _exact_rank_sum_p(doubled, 10, observed)
+            approx = _approx_rank_sum_p(ties, 10, 10, observed / 2)
             assert abs(exact - approx) < 0.02
 
     def test_null_rejection_rate_is_calibrated(self):
@@ -148,6 +149,19 @@ class TestA12:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             a12([], [1])
+
+    @given(
+        a=st.lists(SAMPLE_VALUES, min_size=1, max_size=EXACT_SIZE_LIMIT),
+        b=st.lists(SAMPLE_VALUES, min_size=1, max_size=EXACT_SIZE_LIMIT),
+    )
+    @settings(max_examples=300)
+    def test_is_the_pair_count_with_ties_split(self, a, b):
+        # the definition, counted pair by pair; a12 reads it off the midranks
+        greater = 0.0
+        for x in a:
+            for y in b:
+                greater += 1.0 if x > y else 0.5 if x == y else 0.0
+        assert a12(a, b) == greater / (len(a) * len(b))
 
 
 class TestClassifyEffect:

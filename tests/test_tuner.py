@@ -952,3 +952,31 @@ def test_each_generation_sorts_once_and_counts_p_prime_only_in_the_walk(monkeypa
     # the walk's closing count is the only one a run makes
     assert stray_counts == []
     assert len(walk_counts) == len(walks) > 0
+
+
+@pytest.mark.parametrize("spec", EVOLVE_SPECS, ids=lambda spec: spec.label)
+def test_first_mating_round_sees_the_plain_sort_of_the_initial_population(monkeypatch, spec):
+    # under every duplicate policy, generation 0 keeps each copy at its
+    # front's rank and crowds every front, as a sort and crowding alone do
+    oracle = synthetic_landscape(2, [5, 2], k=1, seed=3)
+    params = TunerParams(budget=10, population_size=6)
+    ranked = []
+    breed = tuner.breed
+
+    def first_breed(state, *args):
+        if not ranked:
+            ranked.append([(ind.config, ind.rank, ind.crowding) for ind in state.population])
+        return breed(state, *args)
+
+    monkeypatch.setattr(tuner, "breed", first_breed)
+    for seed in (1, 2, 3):
+        ranked.clear()
+        run = tuner.evolve(oracle.space, oracle, params, seed, spec)
+        state = tuner.seed_population(oracle.space, oracle, params, random.Random(seed))
+        population = state.population
+        assert len({ind.config for ind in population}) < len(population)  # copies to demote
+        normalize_union(population)
+        tuner._set_objectives(population, run.trajectory[0].w)
+        for front in nondominated_sort(population):
+            tuner.crowding_distance(front)
+        assert ranked == [[(ind.config, ind.rank, ind.crowding) for ind in population]]
