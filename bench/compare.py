@@ -14,6 +14,20 @@ checkout:
 
     python3 bench/compare.py --base HEAD~1 --workload tune-mix --pairs 10 --seconds 10 --seed 7
 
+Two more workloads time a fixed command in each side's tree instead,
+with that tree's ``src`` as the whole ``PYTHONPATH``, by ``bench/record.py``'s
+``run_timed``; ``--seed`` and ``--seconds`` do not apply to them. Their
+one metric is the wall time ``wall_s``, lower is better, and a run is
+correct when it exits 0:
+
+* ``demo``: ``python -m admmo bench demos/data/demo-spec.yaml --jobs 1``
+  into a temporary ``--out``; the table says in how many pairs both sides
+  wrote the same ``summary.json``;
+* ``tier1``: the tier-1 suite; the table says when ``tests/`` differs
+  between the sides, for then the pair times two different suites.
+
+    python3 bench/compare.py --base HEAD~1 --workload demo --pairs 10
+
 It writes the same table as JSON (``--out``, by default
 ``compare-<workload>.json``), with the checkout's git provenance and
 every run's result, perfbench's ``raw:`` line included as ``raw``. The
@@ -26,6 +40,7 @@ benchmark code on both sides. Standard library only.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -33,24 +48,44 @@ import sys
 import tempfile
 from pathlib import Path
 
-from record import git_provenance, run_perfbench
+from record import TIER1, git_provenance, run_perfbench, run_timed
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK_PATHS = ("perfbench", "BENCHMARK.json")
 CLAIM_PAIRS = 10  # fewest pairs a claimed gain rests on
 CLAIM_WINS = 0.9  # share of pairs the checkout must win to claim a gain
+DEMO = ("-m", "admmo", "bench", "demos/data/demo-spec.yaml", "--jobs", "1")
+COMMANDS = ("demo", "tier1")  # the workloads that time a command, not perfbench
+WALL = {"name": "wall_s", "unit": "s", "better": "lower"}
 
 
 def git(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True)
 
 
-def benchmark_differences(commit: str) -> list[str]:
-    """The benchmark files that differ between ``commit`` and the checkout,
-    untracked ones included."""
-    changed = git("diff", "--name-only", commit, "--", *BENCHMARK_PATHS).stdout.split()
-    untracked = git("ls-files", "--others", "--exclude-standard", "--", *BENCHMARK_PATHS).stdout.split()
+def differences(commit: str, paths: tuple[str, ...] = BENCHMARK_PATHS) -> list[str]:
+    """The files under ``paths`` (by default the benchmark's) that differ
+    between ``commit`` and the checkout, untracked ones included."""
+    changed = git("diff", "--name-only", commit, "--", *paths).stdout.split()
+    untracked = git("ls-files", "--others", "--exclude-standard", "--", *paths).stdout.split()
     return sorted(set(changed + untracked))
+
+
+def run_command(root: Path, workload: str) -> dict:
+    """One ``run_timed`` run of ``demo`` or ``tier1`` in the checkout at
+    ``root``, shaped as a perfbench result with the one metric ``wall_s``.
+    A ``demo`` run keeps the sha256 of the ``summary.json`` it wrote as
+    ``summary_sha256``, None when it wrote none."""
+    if workload == "tier1":
+        done = run_timed(root, *TIER1)
+    else:
+        with tempfile.TemporaryDirectory(prefix="compare-demo-") as out:
+            done = run_timed(root, *DEMO, "--out", out)
+            summary = Path(out) / "summary.json"
+            digest = hashlib.sha256(summary.read_bytes()).hexdigest() if summary.exists() else None
+            done["summary_sha256"] = digest
+    metric = {"value": done["wall_s"], "unit": WALL["unit"]}
+    return {"correct": done["returncode"] == 0, "metrics": {WALL["name"]: metric}, **done}
 
 
 def spread(values: list[float]) -> dict:
@@ -100,14 +135,17 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {args.base!r} is not a commit", file=sys.stderr)
         return 2
     commit = resolved.stdout.strip()
-    differing = benchmark_differences(commit)
+    differing = differences(commit)
     if differing:
         print(f"error: the benchmark differs from {args.base}: {', '.join(differing)}", file=sys.stderr)
         return 2
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = [workload["name"] for workload in benchmark["workloads"]]
+    workloads = [workload["name"] for workload in benchmark["workloads"]] + list(COMMANDS)
     if args.workload not in workloads:
         parser.error(f"--workload must be one of {', '.join(workloads)}")
+    command = args.workload in COMMANDS
+    metrics = [WALL] if command else benchmark["end_to_end"]
+    tests_differ = differences(commit, ("tests",)) if args.workload == "tier1" else []
 
     runs = []
     with tempfile.TemporaryDirectory(prefix="compare-") as tmp:
@@ -123,17 +161,23 @@ def main(argv: list[str] | None = None) -> int:
                     sides.reverse()
                 results = {}
                 for side, root in sides:
-                    results[side] = run_perfbench(root, args.workload, args.seed, args.seconds, trace=0)
+                    results[side] = (
+                        run_command(root, args.workload) if command
+                        else run_perfbench(root, args.workload, args.seed, args.seconds, trace=0)
+                    )
                     print(f"pair {pair + 1} {side}: correct={results[side]['correct']}", file=sys.stderr)
                     for line in results[side].get("stderr_tail", []):
                         print(f"  {line}", file=sys.stderr)
                 runs.append({"first": sides[0][0], **results})
+                if args.workload == "demo":
+                    digests = {results[side]["summary_sha256"] for side in ("base", "head")}
+                    runs[-1]["same_summary"] = len(digests) == 1 and None not in digests
         finally:
             git("worktree", "remove", "--force", str(base_root))
             git("worktree", "prune")
 
     table = {}
-    for metric in benchmark["end_to_end"]:
+    for metric in metrics:
         name = metric["name"]
         values = {
             side: [run[side]["metrics"][name]["value"] for run in runs if name in run[side]["metrics"]]
@@ -141,11 +185,17 @@ def main(argv: list[str] | None = None) -> int:
         }
         if len(values["base"]) == len(values["head"]) == len(runs):
             table[name] = compare_metric(metric, values["base"], values["head"])
-    print(f"{args.workload}, seed {args.seed}, {args.seconds} s, {len(runs)} pairs: base {args.base} ({commit[:12]})")
+    settings = "" if command else f", seed {args.seed}, {args.seconds} s"
+    print(f"{args.workload}{settings}, {len(runs)} pairs: base {args.base} ({commit[:12]})")
     print(f"{'metric':<20} {'base median [q1, q3]':>32} {'head median [q1, q3]':>32} {'wins':>7}  claim")
     for name, row in table.items():
         cells = [f"{row[s]['median']:.6g} [{row[s]['q1']:.6g}, {row[s]['q3']:.6g}]" for s in ("base", "head")]
         print(f"{name:<20} {cells[0]:>32} {cells[1]:>32} {row['wins']:>3}/{len(runs):<3}  {'holds' if row['claim_holds'] else 'no'}")
+    if args.workload == "demo":
+        same = sum(run["same_summary"] for run in runs)
+        print(f"summary.json: the same on both sides in {same}/{len(runs)} pairs")
+    if tests_differ:
+        print(f"tests/ differs between the sides, so each pair times two suites: {', '.join(tests_differ)}")
 
     record = {
         **git_provenance(),
@@ -153,6 +203,7 @@ def main(argv: list[str] | None = None) -> int:
         "workload": args.workload,
         "seed": args.seed,
         "seconds": args.seconds,
+        **({"tests_differ": tests_differ} if args.workload == "tier1" else {}),
         "pairs": len(runs),
         "metrics": table,
         "runs": runs,

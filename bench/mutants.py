@@ -249,6 +249,19 @@ MUTANTS = (
         "generation 0 demotes or removes copies of the initial population under the run's"
         " duplicate policy, so the first mating round sees other ranks",
     ),
+    # the measurement table read as one stream
+    Mutant(
+        "table-lines-from-zero", ORACLES,
+        "            numbered = enumerate(handle, 1)\n",
+        "            numbered = enumerate(handle)\n",
+        "every table error names the line before the one at fault",
+    ),
+    Mutant(
+        "table-comment-as-data", ORACLES,
+        "                if line[0] == \"#\" or line[0].isspace() and (\n",
+        "                if line[0].isspace() and (\n",
+        "a comment after the header that starts in column 1 is read as a row",
+    ),
     # the option domain that validation and enumeration read
     Mutant(
         "contains-takes-floats", SPACE,

@@ -15,7 +15,8 @@ run. From the root of a checkout:
 The exit code is 0 when every run is correct, every untraced run has its
 ``raw`` line, and the tests pass, else 1; each failed run's last stderr
 lines are printed under its summary line. ``run_perfbench`` is the one
-starter of a perfbench run, which ``bench/compare.py`` uses as well.
+starter of a perfbench run and ``run_timed`` the one timer of a command;
+``bench/compare.py`` uses both.
 Standard library only: the benchmark runs as a separate command.
 """
 
@@ -33,6 +34,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 RAW_PREFIX = "raw: "  # perfbench's stderr line of unscaled figures and host speed
+TIER1 = ("-m", "pytest", "-q", "-p", "no:cacheprovider", "--continue-on-collection-errors")
 
 
 def run_perfbench(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -60,20 +62,23 @@ def run_perfbench(root: Path, workload: str, seed: int, seconds: float, trace: i
     return result
 
 
-def time_tier1() -> dict:
-    """Wall time of the tier-1 suite, with pytest's closing summary line."""
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
-    command = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-               "--continue-on-collection-errors"]
+def run_timed(root: Path, *args: str) -> dict:
+    """``python *args`` in the checkout at ``root``, with its ``src`` as the
+    whole ``PYTHONPATH``: the wall time, the exit code and the last stdout
+    line as ``summary``. A run that exits non-zero keeps its last stderr
+    lines as ``stderr_tail``."""
+    env = dict(os.environ, PYTHONPATH="src")
     started = time.perf_counter()
-    done = subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True)
+    done = subprocess.run([sys.executable, *args], cwd=root, env=env, capture_output=True, text=True)
     lines = done.stdout.strip().splitlines()
-    return {
-        "wall_s": round(time.perf_counter() - started, 2),
+    result = {
+        "wall_s": round(time.perf_counter() - started, 3),
         "returncode": done.returncode,
         "summary": lines[-1] if lines else "",
     }
+    if done.returncode != 0:
+        result["stderr_tail"] = done.stderr.strip().splitlines()[-5:]
+    return result
 
 
 def git_provenance() -> dict:
@@ -113,7 +118,7 @@ def main(argv: list[str] | None = None) -> int:
               f"correct={run['correct']} raw: {run.get('raw')}", file=sys.stderr)
         for line in run.get("stderr_tail", []):
             print(f"  {line}", file=sys.stderr)
-    tier1 = time_tier1()
+    tier1 = run_timed(ROOT, *TIER1)
     print(f"tier-1: {tier1['summary']} ({tier1['wall_s']} s)", file=sys.stderr)
 
     record = {

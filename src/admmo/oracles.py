@@ -196,81 +196,96 @@ def load_table(
     if not delimiter:
         raise ValueError("delimiter must not be empty")
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    data_lines = [
-        (i + 1, line) for i, line in enumerate(lines)
-        if line.strip() and not line.lstrip().startswith("#")
-    ]
-    if not data_lines:
-        raise TableFormatError(f"{path}: no header row found")
-
-    header_no, header_line = data_lines[0]
-    header = [c.strip() for c in header_line.split(delimiter)]
-    names = space.option_names
-    n = len(names)
-    if len(header) != n + 2:
-        raise TableFormatError(
-            f"line {header_no}: expected {n} option columns plus 2 objective "
-            f"columns, got {len(header)}"
-        )
-    for i, name in enumerate(names):
-        if header[i] != name:
-            raise TableFormatError(
-                f"line {header_no}: column {i + 1} is {header[i]!r}, expected "
-                f"option {name!r}"
-            )
-    objective_cols = header[n:]
-    if set(objective_cols) != {target_column, auxiliary_column}:
-        raise TableFormatError(
-            f"line {header_no}: objective columns {objective_cols} do not match "
-            f"declared {target_column!r} and {auxiliary_column!r}"
-        )
-    t_index = n + objective_cols.index(target_column)
-    a_index = n + objective_cols.index(auxiliary_column)
-    if len(data_lines) == 1:
+    try:
+        with path.open(encoding="utf-8-sig") as handle:
+            numbered = enumerate(handle, 1)
+            for header_no, line in numbered:
+                if line.strip() and not line.lstrip().startswith("#"):
+                    break
+            else:
+                raise TableFormatError(f"{path}: no header row found")
+            header = [c.strip() for c in line.split(delimiter)]
+            names = space.option_names
+            n = len(names)
+            if len(header) != n + 2:
+                raise TableFormatError(
+                    f"line {header_no}: expected {n} option columns plus 2 objective "
+                    f"columns, got {len(header)}"
+                )
+            for i, name in enumerate(names):
+                if header[i] != name:
+                    raise TableFormatError(
+                        f"line {header_no}: column {i + 1} is {header[i]!r}, expected "
+                        f"option {name!r}"
+                    )
+            objective_cols = header[n:]
+            if set(objective_cols) != {target_column, auxiliary_column}:
+                raise TableFormatError(
+                    f"line {header_no}: objective columns {objective_cols} do not match "
+                    f"declared {target_column!r} and {auxiliary_column!r}"
+                )
+            t_index = n + objective_cols.index(target_column)
+            a_index = n + objective_cols.index(auxiliary_column)
+            t_sign, a_sign = orientation.apply(1.0, 1.0)
+            rows: dict[Configuration, PerfSample] = {}
+            # per option column, the value of each cell text parsed so far; only
+            # parses that succeeded are kept, so a bad cell fails on its own line.
+            # Cells are not stripped: int, float and the level lookup in
+            # _parse_option_value ignore surrounding whitespace, so a padded text
+            # is only one more key here.
+            parsed: list[dict[str, object]] = [{} for _ in range(n)]
+            for line_no, line in numbered:
+                # a row starts with neither '#' nor whitespace: only other lines pay the test
+                if line[0] == "#" or line[0].isspace() and (
+                    not line.strip() or line.lstrip().startswith("#")
+                ):
+                    continue
+                cells = line.rstrip("\n").split(delimiter)
+                if len(cells) != n + 2:
+                    raise TableFormatError(
+                        f"line {line_no}: expected {n + 2} columns, got {len(cells)}"
+                    )
+                try:
+                    config = Configuration(map(getitem, parsed, cells))
+                except KeyError:
+                    config = Configuration(
+                        _parse_option_value(opt, cell, line_no)
+                        for opt, cell in zip(space.options, cells[:n])
+                    )
+                    for known, cell, value in zip(parsed, cells, config):
+                        known[cell] = value
+                try:
+                    f_t, f_a = float(cells[t_index]), float(cells[a_index])
+                except ValueError:
+                    raise TableFormatError(f"line {line_no}: non-numeric objective value") from None
+                try:
+                    sample = PerfSample(t_sign * f_t, a_sign * f_a)
+                except ValueError:
+                    raise TableFormatError(f"line {line_no}: non-finite objective value") from None
+                # the one hash of the row; an agreeing duplicate leaves the first
+                if rows.setdefault(config, sample) != sample:
+                    with path.open(encoding="utf-8-sig") as again:
+                        first = next(
+                            no for no, text in enumerate(again, 1)
+                            if no > header_no and text.strip() and not text.lstrip().startswith("#")
+                            and Configuration(
+                                map(getitem, parsed, text.rstrip("\n").split(delimiter))
+                            ) == config
+                        )
+                    raise TableFormatError(
+                        f"line {line_no}: conflicting duplicate of line "
+                        f"{first} for configuration {config.values!r}"
+                    )
+    except UnicodeDecodeError:
+        # decoding runs ahead of the lines read; bytes break at \n, \r\n and \r too
+        for line_no, raw in enumerate(path.read_bytes().splitlines(), 1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise TableFormatError(f"line {line_no}: not UTF-8 text") from None
+        raise
+    if not rows:
         raise TableFormatError(f"{path}: no data rows after the header")
-
-    t_sign, a_sign = orientation.apply(1.0, 1.0)
-    rows: dict[Configuration, PerfSample] = {}
-    # per option column, the value of each cell text parsed so far; only
-    # parses that succeeded are kept, so a bad cell fails on its own line.
-    # Cells are not stripped: int, float and the level lookup in
-    # _parse_option_value ignore surrounding whitespace, so a padded text
-    # is only one more key here.
-    parsed: list[dict[str, object]] = [{} for _ in range(n)]
-    for line_no, line in data_lines[1:]:
-        cells = line.split(delimiter)
-        if len(cells) != n + 2:
-            raise TableFormatError(
-                f"line {line_no}: expected {n + 2} columns, got {len(cells)}"
-            )
-        try:
-            config = Configuration(map(getitem, parsed, cells))
-        except KeyError:
-            config = Configuration(
-                _parse_option_value(opt, cell, line_no)
-                for opt, cell in zip(space.options, cells[:n])
-            )
-            for known, cell, value in zip(parsed, cells, config):
-                known[cell] = value
-        try:
-            f_t, f_a = float(cells[t_index]), float(cells[a_index])
-        except ValueError:
-            raise TableFormatError(f"line {line_no}: non-numeric objective value") from None
-        try:
-            sample = PerfSample(t_sign * f_t, a_sign * f_a)
-        except ValueError:
-            raise TableFormatError(f"line {line_no}: non-finite objective value") from None
-        # the one hash of the row; an agreeing duplicate leaves the first
-        if rows.setdefault(config, sample) != sample:
-            first = next(
-                no for no, earlier in data_lines[1:]
-                if Configuration(map(getitem, parsed, earlier.split(delimiter))) == config
-            )
-            raise TableFormatError(
-                f"line {line_no}: conflicting duplicate of line "
-                f"{first} for configuration {config.values!r}"
-            )
     return MeasurementTable(space=space, rows=rows)
 
 

@@ -214,6 +214,11 @@ class TestRunSpec:
         assert main(["bench", str(spec_dir / "spec.yaml")]) == 1
         assert capsys.readouterr().err.startswith("error: line 19: non-numeric objective value")
 
+    def test_table_that_is_not_utf8_exits_1_naming_the_line(self, spec_dir, capsys):
+        (spec_dir / "table.csv").write_bytes(TABLE.encode() + b"1,1,1,1,1.0,\xe92.0\n")
+        assert main(["tune", str(spec_dir / "spec.yaml")]) == 1
+        assert capsys.readouterr().err == "error: line 19: not UTF-8 text\n"
+
     @pytest.mark.parametrize("command", ["tune", "bench"])
     def test_table_without_rows_exits_1_before_any_run(self, spec_dir, capsys, command):
         # the comment and the header of the table, no row

@@ -1,9 +1,12 @@
 """The claim rule of bench/compare.py (wins per pair, ties, direction and
-spread) and the perfbench runner it shares with bench/record.py."""
+spread), the perfbench runner it shares with bench/record.py and its
+timed ``demo`` and ``tier1`` commands."""
 
 from __future__ import annotations
 
+import hashlib
 import importlib
+import json
 import sys
 import textwrap
 from pathlib import Path
@@ -104,3 +107,49 @@ def test_the_callers_pythonpath_does_not_reach_the_run(compare, tmp_path, monkey
     assert result["argv"] == [
         "--workload", "campaign-table", "--seed", "4", "--seconds", "2.5", "--trace", "1"
     ]
+
+
+def fake_tree(root, files):
+    """``root`` as a checkout holding ``files``, each a path and its body."""
+    for name, body in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(textwrap.dedent(body))
+    return root
+
+
+DEMO_MAIN = """\
+    import json, os, sys
+    assert sys.argv[-2] == "--out" and not os.listdir(sys.argv[-1])
+    with open(os.path.join(sys.argv[-1], "summary.json"), "w") as fh:
+        json.dump({"argv": sys.argv[1:-2], "pythonpath": os.environ.get("PYTHONPATH")}, fh)
+"""
+
+
+def test_a_demo_run_is_timed_and_keeps_the_digest_of_its_summary(compare, tmp_path, monkeypatch):
+    monkeypatch.setenv("PYTHONPATH", str(tmp_path / "elsewhere"))
+    root = fake_tree(tmp_path, {"src/admmo/__init__.py": "", "src/admmo/__main__.py": DEMO_MAIN})
+    result = compare.run_command(root, "demo")
+    summary = {"argv": ["bench", "demos/data/demo-spec.yaml", "--jobs", "1"], "pythonpath": "src"}
+    assert result["correct"] is True
+    assert result["summary_sha256"] == hashlib.sha256(json.dumps(summary).encode()).hexdigest()
+    assert list(result["metrics"]) == ["wall_s"] and result["metrics"]["wall_s"]["value"] > 0
+
+
+def test_a_demo_run_that_exits_non_zero_is_incorrect(compare, tmp_path):
+    root = fake_tree(tmp_path, {
+        "src/admmo/__init__.py": "",
+        "src/admmo/__main__.py": "import sys\nsys.exit('error: line 3: not UTF-8 text')\n",
+    })
+    result = compare.run_command(root, "demo")
+    assert result["correct"] is False
+    assert result["summary_sha256"] is None
+    assert result["stderr_tail"] == ["error: line 3: not UTF-8 text"]
+
+
+@pytest.mark.parametrize("passes", [True, False])
+def test_a_tier1_run_is_correct_when_its_suite_passes(compare, tmp_path, passes):
+    root = fake_tree(tmp_path, {"tests/test_one.py": f"def test_one():\n    assert {passes}\n"})
+    result = compare.run_command(root, "tier1")
+    assert result["correct"] is passes
+    assert ("1 passed" if passes else "1 failed") in result["summary"]
+    assert "summary_sha256" not in result

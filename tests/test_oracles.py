@@ -3,6 +3,7 @@
 import math
 import pickle
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -286,6 +287,63 @@ class TestLoadTable(object):
         path = self.write(tmp_path, "\n".join(lines) + "\n")
         table = load_table(path, space, "throughput", "latency")
         assert len(table) == 2880
+
+    def test_a_byte_order_mark_is_not_part_of_the_first_name(self, tmp_path):
+        text = "cache,mode,t,a\n0,fast,5.0,1.0\n1,safe,6.0,3.0\n"
+        expected = load_table(self.write(tmp_path, text), self.SPACE, "t", "a")
+        for commented in (text, "# comment line\n" + text):
+            (tmp_path / "bom.csv").write_text(commented, encoding="utf-8-sig")
+            table = load_table(tmp_path / "bom.csv", self.SPACE, "t", "a")
+            assert list(table.rows.items()) == list(expected.rows.items())
+
+    @pytest.mark.parametrize(
+        "data, line_no",
+        [
+            (b"cache,mode,t,a\r\n0,fast,5.0,1.0\r1,caf\xe9,6.0,3.0\n", 3),
+            (b"\xef\xbb\xbfcache,mode,t,a\n# caf\xc3\n0,fast,5.0,1.0\n", 2),
+            # beyond the first chunk the text layer decodes ahead of the rows
+            (b"cache,mode,t,a\n" + b"0,fast,5.0,1.0\n" * 2000 + b"0,fast,\xff5.0,1.0\n", 2002),
+        ],
+        ids=["cr-and-crlf", "after-a-bom", "past-the-first-chunk"],
+    )
+    def test_a_byte_that_is_not_utf8_names_its_line(self, tmp_path, data, line_no):
+        path = tmp_path / "table.csv"
+        path.write_bytes(data)
+        with pytest.raises(TableFormatError) as raised:
+            load_table(path, self.SPACE, "t", "a")
+        assert str(raised.value) == f"line {line_no}: not UTF-8 text"
+
+    def test_a_comment_holding_a_unicode_line_separator_is_one_line(self, tmp_path):
+        text = "cache,mode,t,a\n# a note\u2028continued\n0,fast,5.0,1.0\n"
+        table = load_table(self.write(tmp_path, text), self.SPACE, "t", "a")
+        assert table.rows == {Configuration((0, "fast")): PerfSample(5.0, 1.0)}
+        with pytest.raises(TableFormatError) as raised:
+            load_table(self.write(tmp_path, text + "2,fast,6.0,1.0\n"), self.SPACE, "t", "a")
+        assert str(raised.value) == "line 4: value 2 out of range for option 'cache'"
+
+    @pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_a_cell_holding_another_line_separator_names_the_editors_line(self, tmp_path, separator):
+        # lines end at \n, \r\n and \r only, as an editor and wc -l count them
+        cell = f"fa{separator}st"
+        path = self.write(tmp_path, f"cache,mode,t,a\n0,fast,5.0,1.0\n1,{cell},6.0,1.0\n")
+        with pytest.raises(TableFormatError) as raised:
+            load_table(path, self.SPACE, "t", "a")
+        assert str(raised.value) == f"line 3: {cell!r} is not a level of option 'mode'"
+
+    def test_loading_keeps_no_copy_of_the_text(self, tmp_path):
+        # the file is read as a stream: what load_table allocates and frees
+        # again stays below the size of the file it reads
+        space = ConfigSpace((OptionSpec.integer("x", 0, 99), OptionSpec.integer("y", 0, 99)))
+        lines = ["x,y,t,a"] + [f"{x},{y},{x * 0.25 + y:.4f},{100 - y:.4f}" for x, y in space.enumerate_all()]
+        path = self.write(tmp_path, "\n".join(lines) + "\n")
+        tracemalloc.start()
+        try:
+            table = load_table(path, space, "t", "a")
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(table) == 10_000
+        assert peak - retained < path.stat().st_size
 
 
 def reference_rows(data_lines, space, t_index, a_index, orientation, delimiter=","):
