@@ -17,7 +17,8 @@ lines, else 0. ``--list`` makes that last check too, and runs nothing.
 Standard library only. Each mutant costs a whole tier-1 run, so CI runs
 ``--list`` and, on one Python version, only the mutants of the
 generation loop that the pmo and GA kinds share, of two campaign grid
-rules and of the sort's order within a later front.
+rules, of the sort's order within a later front and of the run-spec
+digest's import.
 """
 
 from __future__ import annotations
@@ -261,6 +262,14 @@ MUTANTS = (
         "                if line[0] == \"#\" or line[0].isspace() and (\n",
         "                if line[0].isspace() and (\n",
         "a comment after the header that starts in column 1 is read as a row",
+    ),
+    # the run-spec digest from the interpreter's own SHA-256, not OpenSSL's
+    Mutant(
+        "spec-digest-from-hashlib", RUNSPEC,
+        "    from _sha2 import sha256\n",
+        "    from hashlib import sha256\n",
+        "the run-spec digest comes from hashlib on every Python version, so a table"
+        " campaign loads OpenSSL",
     ),
     # the option domain that validation and enumeration read
     Mutant(

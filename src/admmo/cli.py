@@ -41,8 +41,9 @@ def __getattr__(name: str):
 CONVERGENCE_FIELDS = ("run_id", "measurement", "best_f_t_raw")
 TUNE_OUTPUTS = ("trajectories", "convergence", "best.json")  # what tune writes
 CAMPAIGN_OUTPUTS = ("trajectories", "convergence", "report", "summary.json")  # bench and report
-# what report reads of a summary and of a case, and the type it needs; both
-# summary keys may be absent, and a case may add a "speedup" mapping
+# what report reads of a summary and of a case, and the type it needs; a
+# summary may lack either key, but then it has no case to report or only
+# failed ones, and a case may add a "speedup" mapping
 SUMMARY_KEYS = {"cases": dict, "budgets": list}
 CASE_KEYS = {"budgets": list, "optimizers": list, "repeats": int, "normalized_mean": dict}
 TYPE_NAMES = {list: "a list", int: "an integer", dict: "a mapping"}
@@ -255,9 +256,10 @@ def _summary_problem(summary) -> str | None:
     return None
 
 
-def _case_entry_problem(entry, budgets: list) -> str | None:
+def _case_entry_problem(entry, budgets: list | None) -> str | None:
     """Why report cannot read a summary's case entry, or None if it can;
-    ``budgets`` are the summary's, which head the performance table."""
+    ``budgets`` are the summary's, which head the performance table, or
+    None if it has none."""
     if not isinstance(entry, dict):
         return f"is {entry!r}, not a mapping"
     if "error" in entry:
@@ -283,6 +285,8 @@ def _case_entry_problem(entry, budgets: list) -> str | None:
     for label, value in speedups.items():
         if value is not None and not isinstance(value, (int, float)):
             return f"has 'speedup.{label}' {value!r}, not a number or null"
+    if budgets is None:
+        return f"lists budgets {entry['budgets']}, but the summary has no 'budgets'"
     if entry["budgets"] != budgets:
         return f"lists budgets {entry['budgets']}, but the summary lists {budgets}"
     return None
@@ -310,7 +314,7 @@ def cmd_report(args) -> int:
         print(f"error: campaign at {campaign_dir} contains no cases", file=sys.stderr)
         return 2
     for case_id, entry in sorted(cases.items()):
-        problem = _case_entry_problem(entry, summary.get("budgets", []))
+        problem = _case_entry_problem(entry, summary.get("budgets"))
         if problem:
             print(f"error: case {case_id!r} in {summary_path} {problem}", file=sys.stderr)
             return 2

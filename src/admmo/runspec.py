@@ -7,11 +7,21 @@ See the README for the full schema and an annotated example.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+
+# hashlib loads OpenSSL, which a table campaign needs for nothing else; as
+# random.py does for SHA-512 ("hashlib is pretty heavy to load, try lean
+# internal module first"), take the interpreter's own SHA-256 when it has one
+try:  # 3.12 and later
+    from _sha2 import sha256
+except ImportError:
+    try:  # 3.10 and 3.11
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .oracles import MeasurementOracle, ObjectiveOrientation, load_table, synthetic_landscape
 from .space import ConfigSpace, OptionSpec
@@ -234,7 +244,7 @@ def load_runspec(path: str | Path) -> RunSpec:
     if not path.exists():
         raise RunSpecError(f"run-spec file not found: {path}")
     raw = path.read_bytes()
-    digest = hashlib.sha256(raw).hexdigest()
+    digest = sha256(raw).hexdigest()
     doc = _parse_document(raw, path)
     if not isinstance(doc, dict):
         raise RunSpecError(f"{path}: expected a mapping at the top level")

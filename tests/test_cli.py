@@ -1,6 +1,8 @@
 """CLI tests: run-spec parsing, tune/bench/report round trips, provenance."""
 
+import codecs
 import dataclasses
+import hashlib
 import importlib
 import json
 import os
@@ -442,6 +444,27 @@ class TestBench:
         assert head[1].startswith("# spec_digest: sha256:")
         assert head[2].startswith("# seed:")
 
+    @pytest.mark.parametrize("form", ["yaml", "json", "bom-crlf"])
+    def test_spec_digest_is_the_sha256_of_the_spec_bytes(self, spec_dir, form):
+        text = (spec_dir / "spec.yaml").read_text()
+        raw = {
+            "yaml": text.encode(),
+            "json": json.dumps(yaml.safe_load(text)).encode(),
+            "bom-crlf": codecs.BOM_UTF8 + text.replace("\n", "\r\n").encode(),
+        }[form]
+        path = spec_dir / f"{form}.spec"
+        path.write_bytes(raw)
+        digest = hashlib.sha256(raw).hexdigest()
+        assert load_runspec(path).digest == digest
+        assert main(["bench", str(path)]) == 0
+        campaign = spec_dir / "campaign"
+        summary = json.loads((campaign / "summary.json").read_text())
+        assert summary["spec_digest"] == f"sha256:{digest}"
+        samples = list(campaign.glob("*/*.csv"))
+        assert len(samples) == 2 * (2 * 2 * 3)  # trajectories and convergence of every run
+        for sample in samples:
+            assert sample.read_text().splitlines()[1] == f"# spec_digest: sha256:{digest}"
+
 
 class TestReport:
     def test_renders_tables_and_series(self, spec_dir, capsys):
@@ -538,6 +561,17 @@ class TestReport:
         )
         assert not (tmp_path / "report").exists()
 
+    def test_summary_without_budgets_names_the_missing_key(self, tmp_path, capsys):
+        entry = {"budgets": [8], "optimizers": ["rs"], "repeats": 1,
+                 "normalized_mean": {"rs": {"8": 0.5}}}
+        (tmp_path / "summary.json").write_text(json.dumps({"cases": {"t": entry}}))
+        assert main(["report", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: case 't' in {tmp_path / 'summary.json'} lists budgets [8],"
+            " but the summary has no 'budgets'\n"
+        )
+        assert not (tmp_path / "report").exists()
+
     @pytest.mark.parametrize("edit, problem", [
         (lambda summary: [1, 2], "is [1, 2], not a mapping"),
         (lambda summary: {"cases": "x"}, "has 'cases' 'x', not a mapping"),
@@ -623,8 +657,10 @@ class TestReport:
 class TestImports:
     # numpy is for NK landscapes, yaml for run-specs that are not JSON and
     # concurrent.futures.process for --jobs above 1: importing any of them at
-    # module level costs every campaign process their load time
-    WATCHED = {"numpy", "yaml", "concurrent.futures.process"}
+    # module level costs every campaign process their load time. _hashlib is
+    # OpenSSL, which no command needs: an NK case loads it anyway through
+    # numpy.random, so only table specs check it
+    WATCHED = {"numpy", "yaml", "concurrent.futures.process", "_hashlib"}
 
     def run_python(self, cwd, code: str) -> str:
         """The last line ``code`` prints in a fresh interpreter."""
@@ -653,8 +689,17 @@ class TestImports:
     def test_table_commands_leave_numpy_unloaded(self, spec_dir):
         assert self.loaded_after(spec_dir) == {"admmo.cli"}
         loaded = self.loaded_after(spec_dir, "bench", "spec.yaml")
-        assert "yaml" in loaded and "numpy" not in loaded
+        assert "yaml" in loaded and not loaded & {"numpy", "_hashlib"}
         assert self.loaded_after(spec_dir, "report", "campaign") == {"admmo.cli"}
+
+    @pytest.mark.parametrize("form", ["yaml", "json"])
+    def test_table_bench_with_a_pool_loads_no_openssl(self, spec_dir, form):
+        # at --jobs 1 the tests beside this one check both forms
+        if form == "json":
+            doc = yaml.safe_load((spec_dir / "spec.yaml").read_text())
+            (spec_dir / "spec.json").write_text(json.dumps(doc))
+        loaded = self.loaded_after(spec_dir, "bench", f"spec.{form}", "--jobs", "2")
+        assert "concurrent.futures.process" in loaded and "_hashlib" not in loaded
 
     def test_json_spec_is_read_without_yaml(self, spec_dir):
         doc = yaml.safe_load((spec_dir / "spec.yaml").read_text())
@@ -666,7 +711,7 @@ class TestImports:
     def test_tune_starts_no_pool_machinery(self, spec_dir):
         loaded = self.loaded_after(spec_dir, "tune", "spec.yaml")
         assert {"admmo.tuner", "yaml"} <= loaded
-        assert not loaded & {"admmo.harness", "concurrent.futures.process", "numpy"}
+        assert not loaded & {"admmo.harness", "concurrent.futures.process", "numpy", "_hashlib"}
 
     def test_import_admmo_loads_no_submodule(self, tmp_path):
         code = "import sys, admmo\nprint(sorted(m for m in sys.modules if m.startswith('admmo.')))"
