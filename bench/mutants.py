@@ -1,6 +1,6 @@
 """Run the tier-1 tests, without the golden digests, against small mutants.
 
-Each mutant below replaces one or two whole lines of the program. The
+Each mutant below replaces one to three whole lines of the program. The
 script applies it to a temporary copy of this checkout, runs the tier-1
 suite there without ``tests/test_golden.py``, and prints the tests that
 failed, or "survived". From the root of a checkout whose tests pass:
@@ -16,9 +16,9 @@ pin. The exit code is 1 when a mutant without such a reason survives,
 lines, else 0. ``--list`` makes that last check too, and runs nothing.
 Standard library only. Each mutant costs a whole tier-1 run, so CI runs
 ``--list`` and, on one Python version, only the mutants of the
-generation loop that the pmo and GA kinds share, of two campaign grid
-rules, of the sort's order within a later front and of the run-spec
-digest's import.
+generation loop that the pmo and GA kinds share, of survival's n_d, of
+two campaign grid rules, of the sort's order within a later front and
+of the run-spec digest's import.
 """
 
 from __future__ import annotations
@@ -59,10 +59,9 @@ RUNSPEC = "src/admmo/runspec.py"
 MUTANTS = (
     Mutant(
         "M3", TUNER,
-        "        fronts[i + 1] += demoted\n",
-        "        fronts[i + 1][:0] = demoted\n",
-        "demoted copies go before the next front's members, not after them",
-        survives="the paper does not fix this order; only the golden digests pin it",
+        "                successor.append(ind)\n",
+        "                successor.insert(0, ind)\n",
+        "demoted copies go before the next front's members, the last first, not after them",
     ),
     Mutant(
         "M5", TUNER,
@@ -85,9 +84,10 @@ MUTANTS = (
     ),
     Mutant(
         "M9", TUNER,
-        "    return fill_by_fronts(fronts, capacity), proportion\n",
+        "    return fill_by_fronts(fronts, capacity), Proportion(nondominated, unique)\n",
         "    survivors = fill_by_fronts(fronts, capacity)\n"
-        "    return survivors, Proportion.of_front([s for s in survivors if s.rank == 0], survivors)\n",
+        "    front = {s.config for s in survivors if s.rank == 0}\n"
+        "    return survivors, Proportion(len(front), len({s.config for s in survivors}))\n",
         "p' is counted on the survivors, the next parents, not on the union",
     ),
     Mutant(
@@ -97,29 +97,33 @@ MUTANTS = (
         "the stall cap is halved",
     ),
     Mutant(
-        "count-after-demotion", TUNER,
-        "    proportion = Proportion.of_front(fronts[0], union)\n"
-        "    if duplicates_mode == DUPLICATES_PARTIAL:\n"
-        "        demote_duplicates(fronts)\n",
-        "    if duplicates_mode == DUPLICATES_PARTIAL:\n"
-        "        demote_duplicates(fronts)\n"
-        "    proportion = Proportion.of_front(fronts[0], union)\n",
-        "n_d is read off front 0 after demotion",
-        survives="equivalent: demotion moves only surplus copies of configurations that stay"
-        " in front 0, so its distinct configurations are the same",
-    ),
-    Mutant(
         "unique-over-survivors", TUNER,
-        "    return fill_by_fronts(fronts, capacity), proportion\n",
+        "    return fill_by_fronts(fronts, capacity), Proportion(nondominated, unique)\n",
         "    survivors = fill_by_fronts(fronts, capacity)\n"
-        "    return survivors, Proportion(proportion.nondominated, len(set(s.config for s in survivors)))\n",
+        "    return survivors, Proportion(nondominated, len({s.config for s in survivors}))\n",
         "n_u counts the survivors' configurations, not the union's",
     ),
     Mutant(
         "front-zero-copies", TUNER,
-        "        return cls(len({ind.config for ind in front}), len({ind.config for ind in union}))\n",
-        "        return cls(len(front), len({ind.config for ind in union}))\n",
-        "n_d counts every copy in front 0, not the distinct configurations",
+        "        nondominated = len({ind.config for ind in fronts[0]})\n",
+        "        nondominated = len(fronts[0])\n",
+        "in indistinct mode n_d counts every copy in front 0, not the distinct configurations",
+    ),
+    Mutant(
+        "front-zero-length-before-demotion", TUNER,
+        "        if duplicates_mode == DUPLICATES_PARTIAL:\n"
+        "            demote_duplicates(fronts)\n"
+        "        nondominated = len(fronts[0]) if len(fronts) > 1 else unique\n",
+        "        nondominated = len(fronts[0]) if len(fronts) > 1 else unique\n"
+        "        if duplicates_mode == DUPLICATES_PARTIAL:\n"
+        "            demote_duplicates(fronts)\n",
+        "in partial mode n_d is the length of front 0 before demotion, so it counts every copy",
+    ),
+    Mutant(
+        "lone-front-counts-copies", TUNER,
+        "        nondominated = len(fronts[0]) if len(fronts) > 1 else unique\n",
+        "        nondominated = len(fronts[0])\n",
+        "n_d is the length of a lone front 0, which keeps its copies, so p' can exceed 1",
     ),
     Mutant(
         "pmo-weight", TUNER,
@@ -149,15 +153,15 @@ MUTANTS = (
     ),
     Mutant(
         "budget-overrun", TUNER,
-        "            elif ledger.remaining > 0:\n",
-        "            elif ledger.remaining >= 0:\n",
+        "            elif len(ledger.cache) < ledger.budget:\n",
+        "            elif len(ledger.cache) <= ledger.budget:\n",
         "a child is measured when the budget is spent",
     ),
     # one mutant per north-star invariant
     Mutant(
         "measure-past-budget", ORACLES,
-        "    if ledger.consumed >= ledger.budget:\n",
-        "    if ledger.consumed > ledger.budget:\n",
+        "    if len(ledger.cache) >= ledger.budget:\n",
+        "    if len(ledger.cache) > ledger.budget:\n",
         "measure charges one configuration more than the budget",
     ),
     Mutant(

@@ -318,6 +318,12 @@ def cmd_report(args) -> int:
         if problem:
             print(f"error: case {case_id!r} in {summary_path} {problem}", file=sys.stderr)
             return 2
+    failed = [(case_id, entry["error"]) for case_id, entry in sorted(cases.items())
+              if "error" in entry]
+    for case_id, error in failed:
+        print(f"case {case_id} failed: {error}", file=sys.stderr)
+    if len(failed) == len(cases):  # as bench, when every case failed
+        return 1
 
     report_dir = Path(args.out) if args.out else campaign_dir / "report"
     report_dir.mkdir(parents=True, exist_ok=True)

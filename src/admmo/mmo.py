@@ -69,9 +69,10 @@ def normalize_union(union: Sequence[Individual]) -> Sequence[Individual]:
     a_scale = 0.5 if a_max - a_min == math.inf else 1.0
     t_min, t_range = t_min * t_scale, t_max * t_scale - t_min * t_scale
     a_min, a_range = a_min * a_scale, a_max * a_scale - a_min * a_scale
-    for ind in union:
-        ind.f_t_norm = (ind.raw.f_t * t_scale - t_min) / t_range if t_range > 0 else 0.0
-        ind.f_a_norm = (ind.raw.f_a * a_scale - a_min) / a_range if a_range > 0 else 0.0
+    t_spread, a_spread = t_range > 0, a_range > 0
+    for ind, t, a in zip(union, t_values, a_values):
+        ind.f_t_norm = (t * t_scale - t_min) / t_range if t_spread else 0.0
+        ind.f_a_norm = (a * a_scale - a_min) / a_range if a_spread else 0.0
     return union
 
 

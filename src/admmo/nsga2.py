@@ -10,6 +10,7 @@ import math
 import random
 from bisect import bisect_left
 from collections import deque
+from operator import attrgetter
 from typing import Callable
 
 from .mmo import Individual
@@ -61,6 +62,10 @@ def nondominated_sort(pop: list[Individual]) -> list[list[Individual]]:
     return [[pop[key[-1]] for key in sorted(front)] for front in keys]
 
 
+# the meta-objectives crowding sorts a front on, each read into a list once
+OBJECTIVES = (attrgetter("g1"), attrgetter("g2"))
+
+
 def crowding_distance(front: list[Individual]) -> None:
     """Standard crowding on (g1, g2), written back to the individuals.
 
@@ -76,16 +81,16 @@ def crowding_distance(front: list[Individual]) -> None:
         for ind in front:
             ind.crowding = math.inf
         return
-    for key in (lambda ind: ind.g1, lambda ind: ind.g2):
+    for key in OBJECTIVES:
         ordered = sorted(front, key=key)
-        lo, hi = key(ordered[0]), key(ordered[-1])
+        values = list(map(key, ordered))
         ordered[0].crowding = math.inf
         ordered[-1].crowding = math.inf
-        span = hi - lo
+        span = values[-1] - values[0]
         if span <= 0:
             continue
-        for left, mid, right in zip(ordered, ordered[1:], ordered[2:]):
-            mid.crowding += (key(right) - key(left)) / span
+        for mid, left, right in zip(ordered[1:-1], values, values[2:]):
+            mid.crowding += (right - left) / span
 
 
 def tournament_winner(a: Individual, b: Individual, rng: random.Random) -> Individual:
@@ -110,10 +115,8 @@ def binary_tournament(
     winner: Callable[[Individual, Individual, random.Random], Individual] = tournament_winner,
 ) -> tuple[Individual, Individual]:
     """Pick a mating pair; each parent is the ``winner`` of two uniform draws."""
-    def pick() -> Individual:
-        return winner(rng.choice(pop), rng.choice(pop), rng)
-
-    return pick(), pick()
+    choice = rng.choice
+    return winner(choice(pop), choice(pop), rng), winner(choice(pop), choice(pop), rng)
 
 
 def uniform_crossover(

@@ -125,7 +125,7 @@ def measure(oracle: MeasurementOracle, config: Configuration, ledger: BudgetLedg
         return cached
     if not oracle.space.validate(config):
         raise ValueError(f"configuration {config.values!r} is invalid for the space")
-    if ledger.consumed >= ledger.budget:
+    if len(ledger.cache) >= ledger.budget:
         raise BudgetExhaustedError(
             f"budget exhausted ({ledger.consumed}/{ledger.budget} measurements used)"
         )

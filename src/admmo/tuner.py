@@ -28,7 +28,7 @@ import random
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, repeat
-from operator import neg
+from operator import attrgetter, neg
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .mmo import Individual, compute_meta_union, normalize_union
@@ -149,12 +149,6 @@ class Proportion:
     def value(self) -> float:
         return self.nondominated / self.unique
 
-    @classmethod
-    def of_front(cls, front: list[Individual], union: list[Individual]) -> Proportion:
-        """Read off a sort's front 0 before any demotion, which holds every
-        copy of each nondominated configuration of ``union``."""
-        return cls(len({ind.config for ind in front}), len({ind.config for ind in union}))
-
 
 class IterationRecord(NamedTuple):
     """One trajectory row; its fields are the trajectory table's columns."""
@@ -182,8 +176,11 @@ class TunerState:
 
     def record(self, iteration: int, p_prime: float | None) -> None:
         """Append the trajectory row of ``iteration``."""
-        row = (iteration, self.ledger.consumed, self.w, p_prime, self.stagnation, self.best_f_t)
-        self.trajectory.append(IterationRecord(*row))
+        self.trajectory.append(
+            IterationRecord(
+                iteration, self.ledger.consumed, self.w, p_prime, self.stagnation, self.best_f_t
+            )
+        )
 
 
 @dataclass(frozen=True)
@@ -376,13 +373,23 @@ def demote_duplicates(fronts: list[list[Individual]]) -> None:
     configurations and the best-placed copy is ranked highest. The last
     front has no successor and keeps its copies. The paper does not fix
     where demoted copies go within the next front: they are appended
-    after its members, an order that only the golden digests pin.
+    after its members in their order.
     """
     for i in range(len(fronts) - 1):
-        fronts[i], demoted = split_duplicates(fronts[i])
-        for ind in demoted:
-            ind.rank = i + 1
-        fronts[i + 1] += demoted
+        front = fronts[i]
+        if len(front) < 2:  # most fronts have one member, which has no copy
+            continue
+        seen: set[Configuration] = set()
+        kept: list[Individual] = []
+        successor = fronts[i + 1]
+        for ind in front:
+            if ind.config in seen:
+                ind.rank = i + 1
+                successor.append(ind)
+            else:
+                seen.add(ind.config)
+                kept.append(ind)
+        fronts[i] = kept
 
 
 def fill_by_fronts(fronts: list[list[Individual]], capacity: int) -> list[Individual]:
@@ -398,7 +405,7 @@ def fill_by_fronts(fronts: list[list[Individual]], capacity: int) -> list[Indivi
         if len(front) <= room:
             survivors.extend(front)
         else:
-            ranked = sorted(front, key=lambda ind: ind.crowding, reverse=True)
+            ranked = sorted(front, key=attrgetter("crowding"), reverse=True)
             survivors.extend(ranked[:room])
     return survivors
 
@@ -411,19 +418,30 @@ def select_survivors(
     retention (default), indistinct (plain NSGA-II on the full union), or
     remove_all (one representative per configuration, shrinking the
     population if too few uniques remain). Fronts are filled as in NSGA-II.
+
+    p' is n_d / n_u over the union's distinct configurations. Before any
+    demotion front 0 holds every copy of each nondominated configuration;
+    after demotion or the dedupe it holds one copy of each, unless it is
+    the only front, which keeps its copies and every configuration.
     """
     if duplicates_mode == DUPLICATES_REMOVE_ALL:
         union, _ = split_duplicates(union)
         capacity = min(capacity, len(union))
+        unique = len(union)
     elif duplicates_mode not in DUPLICATES_MODES:
         raise ValueError(f"unknown duplicates mode {duplicates_mode!r}")
     elif len(union) < capacity:
         raise ValueError(f"union of {len(union)} cannot fill a population of {capacity}")
+    else:
+        unique = len({ind.config for ind in union})
     fronts = nondominated_sort(union)
-    proportion = Proportion.of_front(fronts[0], union)
-    if duplicates_mode == DUPLICATES_PARTIAL:
-        demote_duplicates(fronts)
-    return fill_by_fronts(fronts, capacity), proportion
+    if duplicates_mode == DUPLICATES_INDISTINCT:
+        nondominated = len({ind.config for ind in fronts[0]})
+    else:
+        if duplicates_mode == DUPLICATES_PARTIAL:
+            demote_duplicates(fronts)
+        nondominated = len(fronts[0]) if len(fronts) > 1 else unique
+    return fill_by_fronts(fronts, capacity), Proportion(nondominated, unique)
 
 
 def update_stagnation(state: TunerState, offspring: list[Individual]) -> None:
@@ -495,7 +513,7 @@ def breed(
             child = boundary_mutation(child, MUTATION_RATE, space, rng)
             if ledger.is_cached(child):
                 offspring.append(Individual(child, ledger.cache[child]))
-            elif ledger.remaining > 0:
+            elif len(ledger.cache) < ledger.budget:
                 offspring.append(Individual(child, measure(oracle, child, ledger)))
             else:
                 # Budget ran out mid-iteration: this child is unmeasurable,

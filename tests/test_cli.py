@@ -572,6 +572,24 @@ class TestReport:
         )
         assert not (tmp_path / "report").exists()
 
+    def test_every_case_failed_exits_1(self, tmp_path, capsys):
+        # as bench exits 1 when every case of the campaign failed
+        (tmp_path / "summary.json").write_text(json.dumps({"cases": {"t": {"error": "boom"}}}))
+        assert main(["report", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == "case t failed: boom\n"
+        assert not (tmp_path / "report").exists()
+
+    def test_failed_cases_are_named_beside_the_others(self, tmp_path, capsys):
+        entry = {"budgets": [10], "optimizers": ["rs"], "repeats": 1,
+                 "normalized_mean": {"rs": {"10": 0.5}}}
+        summary = {"budgets": [10], "cases": {"t": {"error": "boom"}, "c": entry,
+                                              "s": {"error": "run s: OracleDown"}}}
+        (tmp_path / "summary.json").write_text(json.dumps(summary))
+        assert main(["report", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == "case s failed: run s: OracleDown\ncase t failed: boom\n"
+        rows = (tmp_path / "report" / "performance.csv").read_text().splitlines()
+        assert rows == ["case,optimizer,S10", "c,rs,0.5000*"]
+
     @pytest.mark.parametrize("edit, problem", [
         (lambda summary: [1, 2], "is [1, 2], not a mapping"),
         (lambda summary: {"cases": "x"}, "has 'cases' 'x', not a mapping"),

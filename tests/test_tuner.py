@@ -36,7 +36,7 @@ from admmo import (
 from admmo import tuner
 from admmo.runspec import load_runspec
 
-from conftest import make_individual, meta_unions, names_of, nsga2_survival
+from conftest import make_individual, make_meta_individual, meta_unions, names_of, nsga2_survival
 
 
 class TestTriggerProbability:
@@ -850,6 +850,135 @@ def test_trajectory_p_prime_is_the_pairwise_reference_of_each_union(case, spec):
         for row in run.trajectory:
             expected = reference_proportion(snapshot_union(unions[row.iteration]))
             assert row.p_prime == expected.value, row
+
+
+def reference_demote_duplicates(fronts):
+    """Partial retention built on ``split_duplicates``: each front keeps the
+    first copy of each configuration and hands the rest to the next."""
+    for i in range(len(fronts) - 1):
+        fronts[i], demoted = tuner.split_duplicates(fronts[i])
+        for ind in demoted:
+            ind.rank = i + 1
+        fronts[i + 1] += demoted
+
+
+def reference_crowding_distance(front):
+    """Crowding with a key function per read, as NSGA-II states it."""
+    for ind in front:
+        ind.crowding = 0.0 if len(front) > 2 else math.inf
+    if len(front) <= 2:
+        return
+    for key in (lambda ind: ind.g1, lambda ind: ind.g2):
+        ordered = sorted(front, key=key)
+        ordered[0].crowding = ordered[-1].crowding = math.inf
+        span = key(ordered[-1]) - key(ordered[0])
+        if span > 0:
+            for left, mid, right in zip(ordered, ordered[1:], ordered[2:]):
+                mid.crowding += (key(right) - key(left)) / span
+
+
+def reference_survival(union, capacity, mode):
+    """(fronts, survivors, p') of survival with p' counted on sets of
+    configurations over the union and the sort's front 0 before demotion."""
+    if mode == tuner.DUPLICATES_REMOVE_ALL:
+        union, _ = tuner.split_duplicates(union)
+        capacity = min(capacity, len(union))
+    fronts = nondominated_sort(union)
+    nondominated = len({ind.config for ind in fronts[0]})
+    proportion = tuner.Proportion(nondominated, len({ind.config for ind in union}))
+    if mode == tuner.DUPLICATES_PARTIAL:
+        reference_demote_duplicates(fronts)
+    survivors = []
+    for front in fronts:
+        if len(survivors) >= capacity:
+            break
+        reference_crowding_distance(front)
+        room = capacity - len(survivors)
+        survivors += front if len(front) <= room else sorted(
+            front, key=lambda ind: ind.crowding, reverse=True
+        )[:room]
+    return fronts, survivors, proportion
+
+
+def survival_outcome(union, capacity, mode, survival):
+    """What ``survival`` decides on a copy of ``union``, by position in it:
+    fronts in member order, survivors in order, every rank and crowding,
+    and p'."""
+    union = [copy_individual(ind) for ind in union]
+    fronts, survivors, proportion = survival(list(union), capacity, mode)
+    position = {id(ind): i for i, ind in enumerate(union)}
+    return (
+        [[position[id(ind)] for ind in front] for front in fronts],
+        [position[id(ind)] for ind in survivors],
+        [(ind.rank, ind.crowding) for ind in union],
+        proportion,
+    )
+
+
+def copy_individual(ind):
+    twin = Individual(ind.config, ind.raw)
+    twin.f_t_norm, twin.f_a_norm, twin.g1, twin.g2 = ind.f_t_norm, ind.f_a_norm, ind.g1, ind.g2
+    return twin
+
+
+def observed_survival(union, capacity, mode):
+    """``select_survivors`` with the fronts it hands to ``fill_by_fronts``."""
+    seen, fill_by_fronts = [], tuner.fill_by_fronts
+
+    def fill(fronts, capacity):
+        seen.append([list(front) for front in fronts])
+        return fill_by_fronts(fronts, capacity)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tuner, "fill_by_fronts", fill)
+        survivors, proportion = select_survivors(union, capacity, mode)
+    return seen[0], survivors, proportion
+
+
+def recorded_unions(specs, ps, seeds):
+    """Every union that seeded NK(12, k=4) ``evolve`` runs sort in survival."""
+    oracle = synthetic_landscape(12, 2, 4, seed=101)
+    unions = []
+    for spec in specs:
+        for p in ps:
+            params = TunerParams(budget=200, target_proportion=p)
+            for seed in seeds:
+
+                def observe(iteration, union):
+                    unions.append([copy_individual(ind) for ind in union])
+
+                tuner.evolve(oracle.space, oracle, params, seed, spec, union_observer=observe)
+    return unions
+
+
+@pytest.mark.parametrize("mode", tuner.DUPLICATES_MODES)
+def test_survival_on_recorded_unions_matches_the_reference(mode):
+    unions = recorded_unions(EVOLVE_SPECS, (0.05, 0.3, 1.0), (1, 2))
+    assert len(unions) > 500
+    assert any(len({ind.config for ind in union}) < len(union) for union in unions)
+    for union in unions:
+        assert survival_outcome(union, 10, mode, observed_survival) == survival_outcome(
+            union, 10, mode, reference_survival
+        )
+
+
+@pytest.mark.parametrize("mode", tuner.DUPLICATES_MODES)
+@settings(max_examples=200)
+@given(union=meta_unions(), data=st.data())
+def test_survival_matches_the_reference(mode, union, data):
+    # copies may or may not share their point; the 1/8 grid ties g1 or g2
+    capacity = data.draw(st.integers(1, len(union)))
+    assert survival_outcome(union, capacity, mode, observed_survival) == survival_outcome(
+        union, capacity, mode, reference_survival
+    )
+
+
+def test_a_lone_front_counts_each_configuration_once():
+    # partial retention leaves the copies in the only front; p' is 2 / 2
+    union = [make_meta_individual(i % 2, float(i % 2), float(1 - i % 2)) for i in range(5)]
+    survivors, proportion = select_survivors(union, 3, tuner.DUPLICATES_PARTIAL)
+    assert proportion == tuner.Proportion(nondominated=2, unique=2)
+    assert len(survivors) == 3
 
 
 def assert_stagnation_rule(rows):
