@@ -267,6 +267,21 @@ MUTANTS = (
         "                if line[0].isspace() and (\n",
         "a comment after the header that starts in column 1 is read as a row",
     ),
+    # the packed table: first occurrence kept, keys in enumeration order
+    Mutant(
+        "table-later-duplicate-wins", ORACLES,
+        "                position = index.setdefault(key, size)\n",
+        "                position = index[key] = size\n",
+        "a duplicate row is packed again and its sample replaces the first, so a conflicting"
+        " duplicate is accepted",
+    ),
+    Mutant(
+        "table-strides-reversed", ORACLES,
+        "    return tuple((domain, math.prod(map(len, domains[i + 1 :]))) for i, domain in enumerate(domains))\n",
+        "    return tuple((domain, math.prod(map(len, domains[:i]))) for i, domain in enumerate(domains))\n",
+        "keys count with the first option fastest, so the first configuration without a row"
+        " is not the first in enumeration order",
+    ),
     # the run-spec digest from the interpreter's own SHA-256, not OpenSSL's
     Mutant(
         "spec-digest-from-hashlib", RUNSPEC,

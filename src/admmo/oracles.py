@@ -15,6 +15,7 @@ import functools
 import math
 import sys
 from array import array
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from operator import getitem
 from pathlib import Path
@@ -134,26 +135,109 @@ def measure(oracle: MeasurementOracle, config: Configuration, ledger: BudgetLedg
     return sample
 
 
-@dataclass(frozen=True)
-class MeasurementTable:
-    """A replayed dataset: one pre-measured sample per configuration."""
+def _radix(space: ConfigSpace) -> tuple[tuple[range | tuple, int], ...]:
+    """Each option's domain and place value: a configuration's position in
+    ``space.enumerate_all()`` order, where the last option varies fastest,
+    is the sum of each value's index in its domain times that option's
+    stride."""
+    domains = [opt.domain for opt in space.options]
+    return tuple((domain, math.prod(map(len, domains[i + 1 :]))) for i, domain in enumerate(domains))
 
-    space: ConfigSpace
-    rows: dict[Configuration, PerfSample]
 
-    def sample(self, config: Configuration) -> PerfSample:
+def _decode(radix: tuple[tuple[range | tuple, int], ...], key: int) -> Configuration:
+    """The configuration at position ``key`` of ``enumerate_all`` order."""
+    return Configuration([domain[key // stride % len(domain)] for domain, stride in radix])
+
+
+class _Rows(Mapping):
+    """A table's rows as a read-only mapping from configuration to sample,
+    in first-occurrence order; each key and sample is built as it is read."""
+
+    __slots__ = ("_table",)
+
+    def __init__(self, table: "MeasurementTable") -> None:
+        self._table = table
+
+    def __getitem__(self, config: Configuration) -> PerfSample:
         try:
-            return self.rows[config]
-        except KeyError:
-            raise UnmeasuredConfigurationError(
-                f"configuration {config.values!r} has no row in the measurement table"
-            ) from None
+            return self._table.sample(config)
+        except UnmeasuredConfigurationError:
+            raise KeyError(config) from None
+
+    def __iter__(self) -> Iterator[Configuration]:
+        return map(functools.partial(_decode, self._table._radix), self._table._index)
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self._table._index)
+
+
+class MeasurementTable:
+    """A replayed dataset: one pre-measured sample per configuration.
+
+    Packed, with no object per row: each row's key is its configuration's
+    position in ``space.enumerate_all()`` order (see ``_radix``), ``_index``
+    maps the key to the row's position, and the samples sit in the float
+    columns ``_t`` and ``_a`` in first-occurrence order. ``_weights`` has,
+    per option, the index times stride of every value some row takes, so a
+    configuration's key is the sum of its values' weights. ``rows`` reads
+    the table back as a mapping. Built from any mapping of configurations
+    in ``space`` to samples; a configuration outside it is a ValueError.
+    """
+
+    def __init__(self, space: ConfigSpace, rows: Mapping[Configuration, PerfSample]) -> None:
+        radix = _radix(space)
+        weights: tuple[dict, ...] = tuple({} for _ in radix)
+        index, t, a = {}, array("d"), array("d")
+        for config, sample in rows.items():
+            if not space.validate(config):
+                raise ValueError(f"configuration {tuple(config)!r} is invalid for the space")
+            key = 0
+            for weight, (domain, stride), value in zip(weights, radix, config):
+                key += weight.setdefault(value, domain.index(value) * stride)
+            index[key] = len(t)
+            f_t, f_a = PerfSample(*sample)
+            t.append(f_t)
+            a.append(f_a)
+        self.space, self._radix, self._weights = space, radix, weights
+        self._index, self._t, self._a = index, t, a
+
+    @property
+    def rows(self) -> Mapping[Configuration, PerfSample]:
+        return _Rows(self)
+
+    def sample(self, config: Configuration) -> PerfSample:
+        # every value was checked finite when the table was built
+        try:
+            if len(config) == len(self._weights):
+                p = self._index[sum(map(getitem, self._weights, config))]
+                return tuple.__new__(PerfSample, (self._t[p], self._a[p]))
+        except KeyError:
+            pass
+        hash(config)  # an unhashable value fails as it would in a dict lookup
+        raise UnmeasuredConfigurationError(
+            f"configuration {tuple(config)!r} has no row in the measurement table"
+        )
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MeasurementTable):
+            return NotImplemented
+        return self.space == other.space and self.rows == other.rows
+
+    def __repr__(self) -> str:
+        return f"MeasurementTable(space={self.space!r}, rows=<{len(self)} rows>)"
 
     def best_f_t(self) -> float:
-        return min(s.f_t for s in self.rows.values())
+        return min(self._t)
+
+    def first_unmeasured(self) -> Configuration | None:
+        """The first configuration of ``space.enumerate_all()`` order that
+        has no row, or None; at most ``len(self) + 1`` keys are tried, as
+        the keys of a table of n rows cannot fill 0 .. n."""
+        key = next(k for k in range(len(self) + 1) if k not in self._index)
+        return _decode(self._radix, key) if key < self.space.size() else None
 
 
 def _parse_option_value(opt: OptionSpec, text: str, line_no: int):
@@ -227,13 +311,15 @@ def load_table(
             t_index = n + objective_cols.index(target_column)
             a_index = n + objective_cols.index(auxiliary_column)
             t_sign, a_sign = orientation.apply(1.0, 1.0)
-            rows: dict[Configuration, PerfSample] = {}
-            # per option column, the value of each cell text parsed so far; only
-            # parses that succeeded are kept, so a bad cell fails on its own line.
-            # Cells are not stripped: int, float and the level lookup in
-            # _parse_option_value ignore surrounding whitespace, so a padded text
-            # is only one more key here.
-            parsed: list[dict[str, object]] = [{} for _ in range(n)]
+            table = MeasurementTable(space, {})
+            radix, weights, index = table._radix, table._weights, table._index
+            t_col, a_col = table._t, table._a
+            # per option column, the weight (see MeasurementTable) of each cell
+            # text parsed so far; only parses that succeeded are kept, so a bad
+            # cell fails on its own line. Cells are not stripped: int, float and
+            # the level lookup in _parse_option_value ignore surrounding
+            # whitespace, so a padded text is only one more key here.
+            weighed: list[dict[str, int]] = [{} for _ in range(n)]
             for line_no, line in numbered:
                 # a row starts with neither '#' nor whitespace: only other lines pay the test
                 if line[0] == "#" or line[0].isspace() and (
@@ -246,35 +332,39 @@ def load_table(
                         f"line {line_no}: expected {n + 2} columns, got {len(cells)}"
                     )
                 try:
-                    config = Configuration(map(getitem, parsed, cells))
+                    key = sum(map(getitem, weighed, cells))
                 except KeyError:
-                    config = Configuration(
+                    values = [
                         _parse_option_value(opt, cell, line_no)
                         for opt, cell in zip(space.options, cells[:n])
-                    )
-                    for known, cell, value in zip(parsed, cells, config):
-                        known[cell] = value
+                    ]
+                    for known, weight, (domain, stride), cell, value in zip(
+                        weighed, weights, radix, cells, values
+                    ):
+                        known[cell] = weight.setdefault(value, domain.index(value) * stride)
+                    key = sum(map(getitem, weighed, cells))
                 try:
-                    f_t, f_a = float(cells[t_index]), float(cells[a_index])
+                    f_t, f_a = t_sign * float(cells[t_index]), a_sign * float(cells[a_index])
                 except ValueError:
                     raise TableFormatError(f"line {line_no}: non-numeric objective value") from None
-                try:
-                    sample = PerfSample(t_sign * f_t, a_sign * f_a)
-                except ValueError:
-                    raise TableFormatError(f"line {line_no}: non-finite objective value") from None
-                # the one hash of the row; an agreeing duplicate leaves the first
-                if rows.setdefault(config, sample) != sample:
+                if not (math.isfinite(f_t) and math.isfinite(f_a)):
+                    raise TableFormatError(f"line {line_no}: non-finite objective value")
+                # the one lookup of the row; an agreeing duplicate leaves the first
+                size = len(t_col)
+                position = index.setdefault(key, size)
+                if position == size:
+                    t_col.append(f_t)
+                    a_col.append(f_a)
+                elif t_col[position] != f_t or a_col[position] != f_a:
                     with path.open(encoding="utf-8-sig") as again:
                         first = next(
                             no for no, text in enumerate(again, 1)
                             if no > header_no and text.strip() and not text.lstrip().startswith("#")
-                            and Configuration(
-                                map(getitem, parsed, text.rstrip("\n").split(delimiter))
-                            ) == config
+                            and sum(map(getitem, weighed, text.rstrip("\n").split(delimiter))) == key
                         )
                     raise TableFormatError(
                         f"line {line_no}: conflicting duplicate of line "
-                        f"{first} for configuration {config.values!r}"
+                        f"{first} for configuration {_decode(radix, key).values!r}"
                     )
     except UnicodeDecodeError:
         # decoding runs ahead of the lines read; bytes break at \n, \r\n and \r too
@@ -284,9 +374,9 @@ def load_table(
             except UnicodeDecodeError:
                 raise TableFormatError(f"line {line_no}: not UTF-8 text") from None
         raise
-    if not rows:
+    if not index:
         raise TableFormatError(f"{path}: no data rows after the header")
-    return MeasurementTable(space=space, rows=rows)
+    return table
 
 
 def _nk_shapes(sizes: tuple[int, ...], k: int) -> list[tuple[int, ...]]:

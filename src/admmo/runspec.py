@@ -177,6 +177,14 @@ def _parse_oracle(doc: dict, key: str, base_dir: Path, space: ConfigSpace | None
             ),
             delimiter=_get(doc, f"{key}.delimiter", str, ","),
         )
+        # rows lie in the space and are distinct, so a short count is a gap
+        # that some run would reach: any configuration can be drawn or bred
+        if len(table) < space.size():
+            raise RunSpecError(
+                f"measurement table {path} has {len(table)} rows for a space of "
+                f"{space.size()} configurations; the first without a row is "
+                f"{table.first_unmeasured().values!r}"
+            )
         return table.space, table
     if kind == "synthetic":
         sizes_kind = [int] if isinstance(doc.get("domain_sizes"), list) else int

@@ -338,13 +338,19 @@ class TestTune:
         (fresh / "notes.txt").write_text("kept\n")
         assert files_of(out) == files_of(fresh)
 
-    def test_unmeasured_configuration_exits_1(self, spec_dir, capsys):
-        # a comment, the header and four of the sixteen rows
-        (spec_dir / "table.csv").write_text("".join(TABLE.splitlines(keepends=True)[:6]))
-        assert main(["tune", str(spec_dir / "spec.yaml")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: configuration ")
-        assert err.rstrip().endswith("has no row in the measurement table")
+    @pytest.mark.parametrize("command", ["tune", "bench"])
+    def test_incomplete_table_exits_2_before_any_run(self, spec_dir, capsys, command):
+        # a comment, the header and four of the sixteen rows: (0, 0, 0, 0) to
+        # (0, 0, 1, 1), so (0, 1, 0, 0) is the first without one in enumeration
+        # order, and (1, 0, 0, 0) would be with the first option fastest
+        table = spec_dir / "table.csv"
+        table.write_text("".join(TABLE.splitlines(keepends=True)[:6]))
+        assert main([command, str(spec_dir / "spec.yaml")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: measurement table {table} has 4 rows for a space of 16 configurations;"
+            " the first without a row is (0, 1, 0, 0)\n"
+        )
+        assert not (spec_dir / "campaign").exists()
 
     def test_unknown_optimizer_label_fails(self, spec_dir, capsys):
         code = main(["tune", str(spec_dir / "spec.yaml"), "--optimizer", "smac"])

@@ -3,11 +3,14 @@
 import math
 import pickle
 import random
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from conftest import mixed_spaces
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from admmo import (
@@ -330,9 +333,9 @@ class TestLoadTable(object):
             load_table(path, self.SPACE, "t", "a")
         assert str(raised.value) == f"line 3: {cell!r} is not a level of option 'mode'"
 
-    def test_loading_keeps_no_copy_of_the_text(self, tmp_path):
-        # the file is read as a stream: what load_table allocates and frees
-        # again stays below the size of the file it reads
+    def traced_load(self, tmp_path):
+        """A 10,000-row table loaded under tracemalloc: the file, the table,
+        and the bytes the load left allocated and allocated at its peak."""
         space = ConfigSpace((OptionSpec.integer("x", 0, 99), OptionSpec.integer("y", 0, 99)))
         lines = ["x,y,t,a"] + [f"{x},{y},{x * 0.25 + y:.4f},{100 - y:.4f}" for x, y in space.enumerate_all()]
         path = self.write(tmp_path, "\n".join(lines) + "\n")
@@ -343,7 +346,19 @@ class TestLoadTable(object):
         finally:
             tracemalloc.stop()
         assert len(table) == 10_000
+        return path, table, retained, peak
+
+    def test_loading_keeps_no_copy_of_the_text(self, tmp_path):
+        # the file is read as a stream: what load_table allocates and frees
+        # again stays below the size of the file it reads
+        path, _, retained, peak = self.traced_load(tmp_path)
         assert peak - retained < path.stat().st_size
+
+    def test_a_row_keeps_no_object_of_its_own(self, tmp_path):
+        # a key, a position and two packed floats: about 108 bytes a row,
+        # where a configuration and a sample per row kept about 217
+        _, table, retained, _ = self.traced_load(tmp_path)
+        assert retained / len(table) < 150
 
 
 def reference_rows(data_lines, space, t_index, a_index, orientation, delimiter=","):
@@ -533,6 +548,99 @@ class TestLoadTableAgainstTheRowLoop:
         assert raised == expected and message in expected
         if first is not None:
             assert f"conflicting duplicate of line {first} for" in raised
+
+
+class DictTable:
+    """The table as it was before it was packed: its rows in a dict."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def sample(self, config):
+        try:
+            return self.rows[config]
+        except KeyError:
+            raise UnmeasuredConfigurationError(
+                f"configuration {config.values!r} has no row in the measurement table"
+            ) from None
+
+
+def lookup(table, config):
+    """What ``table.sample`` gives for ``config``: the sample and its type,
+    or the type and message of what it raised."""
+    try:
+        sample = table.sample(config)
+    except Exception as error:  # noqa: BLE001 - the outcome is compared
+        return type(error), str(error)
+    return sample, type(sample)
+
+
+def off_space(config, space):
+    """Inputs that are no configuration of ``space``, made from ``config``:
+    each value in turn as 1.0, True, an unhashable list and a value beyond
+    its domain, and the configuration one value short and one too long."""
+    values = list(config)
+    for i, opt in enumerate(space.options):
+        beyond = "slow" if opt.kind == "categorical" else opt.domain[-1] + 1
+        for value in (1.0, True, [values[i]], beyond):
+            yield Configuration(values[:i] + [value] + values[i + 1 :])
+    yield Configuration(values[:-1])
+    yield Configuration(values + [values[0]])
+
+
+@st.composite
+def tables(draw):
+    """A space, the text of a table file over it, and the dict of the rows
+    that file holds, in first-occurrence order: some or all of the space's
+    configurations, each with a drawn sample, on shuffled lines, some of
+    them written twice."""
+    space = draw(mixed_spaces())
+    configs = draw(st.permutations(space.enumerate_all()))
+    if draw(st.booleans()):
+        configs = configs[: draw(st.integers(1, len(configs)))]
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    lines = [(c, PerfSample(draw(finite), draw(finite))) for c in configs]
+    lines = draw(st.permutations(lines + draw(st.lists(st.sampled_from(lines), max_size=5))))
+    text = ",".join([*space.option_names, "t", "a"]) + "\n" + "".join(
+        ",".join([*map(str, c), repr(s.f_t), repr(s.f_a)]) + "\n" for c, s in lines
+    )
+    return space, text, dict(lines)
+
+
+class TestPackedTableAgainstADict:
+    """A packed table, built from a mapping or loaded from a file, answers
+    as the dict of its rows does, for every configuration and for inputs
+    that are none."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(tables())
+    def test_same_answers_as_the_dict(self, drawn):
+        space, text, rows = drawn
+        reference = DictTable(rows)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "table.csv"
+            path.write_text(text)
+            loaded = load_table(path, space, "t", "a")
+        built = MeasurementTable(space, rows)
+        copies = [pickle.loads(pickle.dumps(t, protocol)) for t in (loaded, built) for protocol in (0, 5)]
+        inputs = space.enumerate_all()
+        inputs += [bad for config in inputs[:3] for bad in off_space(config, space)]
+        missing = next((c for c in space.enumerate_all() if c not in rows), None)
+        for table in (loaded, built, *copies):
+            assert [lookup(table, c) for c in inputs] == [lookup(reference, c) for c in inputs]
+            assert list(table.rows.items()) == list(rows.items())
+            assert len(table) == len(table.rows) == len(rows)
+            assert table.rows == rows and table == built
+            assert table.first_unmeasured() == missing
+            assert table.best_f_t() == min(s.f_t for s in rows.values())
+
+    def test_a_row_outside_the_space_is_rejected(self):
+        space = two_bit_space()
+        rows = {Configuration((0, 0)): PerfSample(1.0, 2.0), Configuration((0, 2)): PerfSample(1.0, 2.0)}
+        with pytest.raises(ValueError) as raised:
+            MeasurementTable(space, rows)
+        assert str(raised.value) == "configuration (0, 2) is invalid for the space"
+
 
 def reference_tables(sizes, k, seed):
     """The target and auxiliary tables as one ``uniform(size=shape)`` draw per
